@@ -470,59 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         "widen on noisy machines — sub-ms kernels jitter ~10%%)",
     )
 
-    scale = sub.add_parser(
-        "scale",
-        help="run the publish+retrieve workload single-process and sharded; "
-        "verify every sharded row is placement- and bill-identical, report "
-        "the wall-clock speedup per shard count",
-    )
-    scale.add_argument("--nodes", type=int, default=2_000, help="overlay size")
-    scale.add_argument("--items", type=int, default=20_000, help="corpus size")
-    scale.add_argument(
-        "--queries", type=int, default=400, help="retrieve storm size"
-    )
-    scale.add_argument(
-        "--amount", type=int, default=5, help="items requested per query"
-    )
-    scale.add_argument(
-        "--max-walk",
-        type=int,
-        default=256,
-        help="per-query walk budget (bounds walk length, which must stay "
-        "under the halo)",
-    )
-    scale.add_argument(
-        "--shards",
-        default="1,2,4,8",
-        metavar="N[,N...]",
-        help="comma-separated worker counts to sweep (default 1,2,4,8)",
-    )
-    scale.add_argument(
-        "--halo",
-        type=int,
-        default=None,
-        help="replicated boundary width in ring ranks (default 512)",
-    )
-    scale.add_argument(
-        "--backend",
-        choices=("serial", "fork"),
-        default="fork",
-        help="worker backend: 'fork' = one process per shard (speedups), "
-        "'serial' = in-process workers (determinism reference)",
-    )
-    scale.add_argument("--seed", type=int, default=11, help="run RNG seed")
-    scale.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every sharded row is identical to the "
-        "single-process reference (CI smoke)",
-    )
-    scale.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="with --check: also fail if the run took longer than this",
-    )
     return parser
 
 
@@ -573,8 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_lsh(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "scale":
-        return _cmd_scale(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -1083,57 +1028,6 @@ def _cmd_qps(args) -> int:
     return 0
 
 
-def _cmd_scale(args) -> int:
-    import time
-
-    from .experiments.common import format_table
-    from .experiments.scale import run_scale
-    from .sim.shard import DEFAULT_HALO
-
-    try:
-        shards = tuple(int(s) for s in args.shards.split(",") if s.strip())
-    except ValueError:
-        print(f"bad --shards list: {args.shards!r}", file=sys.stderr)
-        return 2
-    if not shards or any(s < 1 for s in shards):
-        print(f"bad --shards list: {args.shards!r}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
-    rs = run_scale(
-        n_nodes=args.nodes,
-        n_items=args.items,
-        n_keywords=max(100, args.items // 5),
-        n_queries=args.queries,
-        amount=args.amount,
-        max_walk=args.max_walk,
-        shards=shards,
-        halo=args.halo if args.halo is not None else DEFAULT_HALO,
-        backend=args.backend,
-        seed=args.seed,
-    )
-    elapsed = time.perf_counter() - t0
-    print(format_table(rs))
-    print(f"[scale finished in {elapsed:.2f}s]")
-    if args.check:
-        failed = []
-        col = rs.headers.index("identical")
-        kcol = rs.headers.index("shards")
-        bcol = rs.headers.index("backend")
-        for row in rs.rows:
-            if row[bcol] != "single" and not row[col]:
-                failed.append(
-                    f"{row[bcol]} x{row[kcol]} diverged from the "
-                    "single-process reference"
-                )
-        if args.max_seconds is not None and elapsed > args.max_seconds:
-            failed.append(f"runtime {elapsed:.2f}s > {args.max_seconds}s")
-        if failed:
-            print("scale --check FAILED: " + "; ".join(failed), file=sys.stderr)
-            return 1
-        print("scale --check OK")
-    return 0
-
-
 def _cmd_lsh(args) -> int:
     import time
 
@@ -1255,8 +1149,21 @@ def _cmd_bench(args) -> int:
             print(f"cannot read baseline {args.against}: {exc}", file=sys.stderr)
             return 2
         rows = bench.compare_results(baseline, results)
+        if kernels is not None:
+            # A subset run leaves the other baseline kernels out on purpose.
+            rows = [r for r in rows if r["current_us"] is not None]
         print(f"\nvs {args.against}:")
         print(bench.format_comparison(rows, threshold=args.threshold))
+        # A baseline kernel absent from a full run has left the registry:
+        # fail, so the gate cannot shrink unnoticed.
+        missing = [r["kernel"] for r in rows if r["current_us"] is None]
+        if missing:
+            print(
+                "bench --against FAILED: baseline kernel(s) missing from "
+                f"this run: {', '.join(missing)}",
+                file=sys.stderr,
+            )
+            return 1
         if any(r["delta"] is not None and r["delta"] > args.threshold for r in rows):
             return 1
     return 0

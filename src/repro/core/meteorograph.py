@@ -395,8 +395,8 @@ class Meteorograph:
             # Bulk fast path: identical RNG draw order to per-node
             # add_node (draw id, redraw on collision, then capacity) but
             # membership lands in one sorted merge — O(n log n) instead
-            # of O(n²) ring inserts, which is what makes 10⁵-node builds
-            # for the sharded experiments routine.
+            # of O(n²) ring inserts, which keeps the set-up of every
+            # paper-scale (N=10⁴) experiment and benchmark cheap.
             pending: list[tuple[int, Optional[int]]] = []
             seen: set[int] = {seed_id}
             for _ in range(n_nodes - 1):

@@ -61,7 +61,6 @@ __all__ = [
     "run_displacement_chain",
     "batch_publish",
     "batch_live_homes",
-    "SweepPlan",
 ]
 
 
@@ -292,91 +291,6 @@ def batch_live_homes(
     return np.where(ds < dp, succ, np.where(dp < ds, pred, np.minimum(succ, pred)))
 
 
-class SweepPlan:
-    """The global planning state of one key-sorted ring sweep.
-
-    Extracted from :func:`batch_publish` so the sharded coordinator
-    (:mod:`repro.sim.shard`) plans publishes with the *same code* the
-    single-process engine runs — identical homes, sweep order, per-item
-    marginal ``route_hops`` and total sweep message count by
-    construction, which is what makes a sharded run
-    accounting-identical to the single-process run.
-
-    Two-step protocol: construct with the batch's publish keys, route to
-    :attr:`first_key`'s home however the caller likes, then
-    :meth:`finalize` with the landing home to fix the sweep geometry.
-    """
-
-    __slots__ = (
-        "keys",
-        "live",
-        "live_sorted",
-        "homes",
-        "order",
-        "m",
-        "start_pos",
-        "sweep",
-        "route_hops",
-    )
-
-    def __init__(self, system: "Meteorograph", keys: np.ndarray) -> None:
-        self.keys = np.asarray(keys, dtype=np.int64)
-        network = system.network
-        live = [nid for nid in system.overlay.ring if network.is_alive(nid)]
-        if not live:
-            raise RuntimeError("no live nodes to publish to")
-        self.live = live
-        self.live_sorted = np.asarray(live, dtype=np.int64)  # ring iterates in key order
-        self.m = len(live)
-        self.homes = batch_live_homes(system.space, self.live_sorted, self.keys)
-        self.order = np.argsort(self.keys, kind="stable")
-
-    @property
-    def first_key(self) -> int:
-        """The smallest publish key — the sweep's single routed target."""
-        return int(self.keys[self.order[0]])
-
-    def arrivals(self) -> np.ndarray:
-        """Per-live-node arrival counts (indexed like ``live_sorted``)."""
-        return np.bincount(
-            np.searchsorted(self.live_sorted, self.homes), minlength=self.m
-        )
-
-    def finalize(self, start_home: int) -> "SweepPlan":
-        """Fix the sweep geometry from the routed landing home.
-
-        Because items are visited in key order the per-item step counts
-        are just modular position differences along the live ring —
-        computed vectorised.  Sets :attr:`start_pos` (ring position of
-        the landing home), :attr:`sweep` (total clockwise steps, i.e.
-        ``publish`` messages) and :attr:`route_hops` (each item's
-        marginal step count, in item order).
-        """
-        pos_sorted = np.searchsorted(self.live_sorted, self.homes[self.order])
-        cur = int(np.searchsorted(self.live_sorted, start_home))
-        prev = np.empty_like(pos_sorted)
-        prev[0] = cur
-        prev[1:] = pos_sorted[:-1]
-        steps_sorted = (pos_sorted - prev) % self.m
-        self.start_pos = cur
-        self.sweep = int(steps_sorted.sum())
-        route_hops_arr = np.zeros(self.keys.size, dtype=np.int64)
-        route_hops_arr[self.order] = steps_sorted
-        self.route_hops = route_hops_arr
-        return self
-
-    def sweep_sources(self) -> np.ndarray:
-        """Source node id of every sweep step, in step order.
-
-        Step *i* sends ``live[(start_pos+i) % m] → live[(start_pos+i+1)
-        % m]``; the sharded coordinator bills each step to the shard
-        owning its source node so the merged bill matches the
-        single-process sweep exactly.  Requires :meth:`finalize`.
-        """
-        idx = (self.start_pos + np.arange(self.sweep, dtype=np.int64)) % self.m
-        return self.live_sorted[idx]
-
-
 def batch_publish(
     system: "Meteorograph",
     items: Sequence[StoredItem],
@@ -434,16 +348,17 @@ def batch_publish(
     elif len(keys) != n:
         raise ValueError("keys must parallel items")
     network = system.network
-    plan = SweepPlan(system, keys)
-    live = plan.live
-    live_sorted = plan.live_sorted
-    homes = plan.homes
-    order = plan.order
+    live = [nid for nid in system.overlay.ring if network.is_alive(nid)]
+    if not live:
+        raise RuntimeError("no live nodes to publish to")
+    live_sorted = np.asarray(live, dtype=np.int64)  # ring iterates in key order
+    homes = batch_live_homes(system.space, live_sorted, keys)
+    order = np.argsort(keys, kind="stable")
     obs = network.obs
     tracer = obs.tracer
     results: list[Optional[PublishResult]] = [None] * n
     with tracer.span("publish_batch", items=n) as sp:
-        first_key = plan.first_key
+        first_key = int(keys[order[0]])
         try:
             route = system.deliver_home(origin, first_key, kind="publish")
             assert route.home is not None
@@ -458,17 +373,24 @@ def batch_publish(
                 raise RuntimeError("no live nodes to publish to") from None
         # Ring sweep: advance clockwise over live nodes, charging one
         # publish message per step; record each item's marginal cost.
-        # The sweep geometry (step counts, total sweep length) comes
-        # from the shared SweepPlan, leaving one short loop (~N_nodes
-        # iterations, not ~N_items) to charge the per-step messages.
+        # Because items are visited in key order the per-item step counts
+        # are just modular position differences along the live ring —
+        # computed vectorised, with one short loop (~N_nodes iterations,
+        # not ~N_items) left to charge the per-step messages.
         homes_l = homes.tolist()
         order_l = order.tolist()
         send = network.send
-        m = plan.m
-        plan.finalize(start_home)
-        cur = plan.start_pos
-        sweep = plan.sweep
-        route_hops = plan.route_hops.tolist()
+        m = len(live)
+        pos_sorted = np.searchsorted(live_sorted, homes[order])
+        cur = int(np.searchsorted(live_sorted, start_home))
+        prev = np.empty_like(pos_sorted)
+        prev[0] = cur
+        prev[1:] = pos_sorted[:-1]
+        steps_sorted = (pos_sorted - prev) % m
+        sweep = int(steps_sorted.sum())
+        route_hops_arr = np.zeros(n, dtype=np.int64)
+        route_hops_arr[order] = steps_sorted
+        route_hops = route_hops_arr.tolist()
         for _ in range(sweep):
             nxt = (cur + 1) % m
             try:

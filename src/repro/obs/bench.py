@@ -79,8 +79,6 @@ _LOOPS = {
     "lsh_signatures": 3,
     "multi_probe_retrieve": 1,
     "angles_chunked_pool": 3,
-    "shard_tick": 1,
-    "cross_shard_batch": 5,
 }
 
 
@@ -423,60 +421,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
             total += lsh_system.retrieve(o, q, 10).found
         return total
 
-    # Sharded-simulator kernels: one retrieve *tick* through a 2-shard
-    # serial coordinator (plan → partition → worker batch engines →
-    # delta merge — everything but the pipe transport), and the
-    # coordinator's cross-shard marshalling step alone (interest-mask
-    # partitioning plus the compact CSR row-slice payloads).  Serial
-    # backend so the kernel times the sharding machinery, not fork(2).
-    from ..sim.shard import ShardedSimulator, _csr_take
-
-    def shard_builder() -> object:
-        return Meteorograph.build(
-            n_nodes,
-            corpus.dim,
-            rng=np.random.default_rng(9),
-            sample=publish_sample,
-            config=publish_cfg,
-        )
-
-    shard_sim = ShardedSimulator(shard_builder, n_shards=2, backend="serial")
-    shard_sim.publish_corpus(spill_corpus, np.random.default_rng(3))
-    shard_rng = np.random.default_rng(23)
-    shard_queries = [
-        spill_corpus.vector(int(i))
-        for i in shard_rng.choice(spill_corpus.n_items, 64, replace=False)
-    ]
-    shard_origins = [
-        int(shard_sim.ring_array[i])
-        for i in shard_rng.integers(0, shard_sim.ring_array.size, 64)
-    ]
-
-    def shard_tick() -> int:
-        return sum(
-            len(r.discoveries)
-            for r in shard_sim.retrieve_many(
-                shard_origins, shard_queries, 5, patience=16
-            )
-        )
-
-    cs_mat = spill_corpus.matrix
-    cs_indptr = np.asarray(cs_mat.indptr, dtype=np.int64)
-    cs_kw = cs_mat.indices.astype(np.int64)
-    cs_w = np.asarray(cs_mat.data, dtype=np.float64)
-    cs_ranks = np.random.default_rng(29).integers(
-        0, shard_sim.ring_array.size, spill_corpus.n_items
-    )
-
-    def cross_shard_marshal() -> int:
-        spec = shard_sim.spec
-        total = 0
-        for s in range(spec.n_shards):
-            rows = np.nonzero(spec.interest_mask(s, cs_ranks))[0]
-            sub_indptr, _, _ = _csr_take(cs_indptr, cs_kw, cs_w, rows)
-            total += int(sub_indptr[-1])
-        return total
-
     return {
         "absolute_angles": lambda: absolute_angles(corpus),
         "angles_chunked": lambda: absolute_angles(corpus, chunk_rows=1024),
@@ -505,8 +449,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "angles_chunked_pool": lambda: absolute_angles(
             corpus, chunk_rows=1024, workers=2
         ),
-        "shard_tick": shard_tick,
-        "cross_shard_batch": cross_shard_marshal,
     }
 
 
@@ -632,8 +574,11 @@ def format_comparison(rows: list[dict], *, threshold: float = 0.05) -> str:
     lines = ["kernel                  baseline µs  current µs    delta",
              "-" * 56]
     for row in rows:
-        if row["delta"] is None:
-            lines.append(f"{row['kernel']:<24}{'(missing on one side)'}")
+        if row["current_us"] is None:
+            lines.append(f"{row['kernel']:<24}(missing from this run)")
+            continue
+        if row["baseline_us"] is None:
+            lines.append(f"{row['kernel']:<24}(new: not in the baseline)")
             continue
         flag = "  <-- regression" if row["delta"] > threshold else ""
         lines.append(

@@ -180,7 +180,8 @@ class SortedKeyRing:
 
         Equivalent to ``add`` per key but O((n+k) + k log k) instead of
         O(n·k) — the difference between minutes and milliseconds when
-        seeding a 10⁵-node ring for the sharded experiments.
+        ``Overlay.add_nodes`` seeds the 10⁴-node rings every paper-scale
+        experiment and benchmark builds.
         """
         incoming = sorted(self.space.validate(k) for k in keys)
         if not incoming:

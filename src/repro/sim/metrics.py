@@ -6,16 +6,6 @@ The paper's entire evaluation is expressed in two currencies: *hops*
 paper counts them).  :class:`MetricSink` is the single place both are
 tallied; every layer that moves a message charges it here.
 
-Beyond counters, a sink carries **distributions** and **timers**
-(``observe`` / ``time``) — the per-shard operational state the sharded
-simulator aggregates.  Their state is *exact moments* (count, total,
-sum of squares, min, max), so :meth:`MetricSink.merge` is associative:
-folding per-shard deltas in any grouping or order yields the same
-aggregate, which is what makes the tick-barrier merge of
-:mod:`repro.sim.shard` deterministic.  Deltas cut with
-:meth:`checkpoint` are additionally *stamped* — re-merging the same
-delta is a no-op — so a retried tick round can never double-count.
-
 ``QueryTrace`` records one query's journey for the per-query metrics
 (Figures 7, 9, 10a) and :class:`HopHistogram` aggregates them into the
 distributions the figures plot.
@@ -25,131 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter, process_time
-from typing import Iterable, Optional, Union
+from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "MetricSink",
-    "SinkDistribution",
-    "SinkTimer",
-    "SinkDelta",
-    "QueryTrace",
-    "HopHistogram",
-    "percentile_summary",
-]
-
-
-class SinkDistribution:
-    """Exact streaming moments of a sample: count/total/sq/min/max.
-
-    Unlike the reservoir-backed :class:`repro.obs.Distribution`, this
-    keeps no samples — only moments — so ``merge`` is exact,
-    commutative and associative (the property the multi-shard metric
-    aggregation relies on; ``tests/sim/test_metrics.py`` pins it).
-    """
-
-    __slots__ = ("count", "total", "sq_total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.sq_total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def record(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        self.sq_total += v * v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "SinkDistribution") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.sq_total += other.sq_total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def copy(self) -> "SinkDistribution":
-        out = SinkDistribution()
-        out.merge(self)
-        return out
-
-    def as_dict(self) -> dict[str, float]:
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-class SinkTimer:
-    """Wall/CPU second distributions for one named region of sink work."""
-
-    __slots__ = ("wall", "cpu")
-
-    def __init__(self) -> None:
-        self.wall = SinkDistribution()
-        self.cpu = SinkDistribution()
-
-    def record(self, wall_s: float, cpu_s: float) -> None:
-        self.wall.record(wall_s)
-        self.cpu.record(cpu_s)
-
-    def merge(self, other: "SinkTimer") -> None:
-        self.wall.merge(other.wall)
-        self.cpu.merge(other.cpu)
-
-    def copy(self) -> "SinkTimer":
-        out = SinkTimer()
-        out.merge(self)
-        return out
-
-
-class _SinkTiming:
-    """Context manager recording one region into a :class:`SinkTimer`."""
-
-    __slots__ = ("_stat", "_w0", "_c0")
-
-    def __init__(self, stat: SinkTimer) -> None:
-        self._stat = stat
-
-    def __enter__(self) -> "_SinkTiming":
-        self._w0 = perf_counter()
-        self._c0 = process_time()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._stat.record(perf_counter() - self._w0, process_time() - self._c0)
-        return False
-
-
-@dataclass(frozen=True)
-class SinkDelta:
-    """An immutable, stamped cut of one sink's accumulated state.
-
-    ``source``/``seq`` identify the cut: a sink that has already merged
-    a given (source, seq) pair ignores it on re-merge.  ``source=None``
-    deltas are unstamped and always fold (snapshot-style use)."""
-
-    source: Optional[str]
-    seq: int
-    counts: dict[str, int]
-    distributions: dict[str, SinkDistribution]
-    timers: dict[str, SinkTimer]
+__all__ = ["MetricSink", "QueryTrace", "HopHistogram", "percentile_summary"]
 
 
 class MetricSink:
@@ -159,19 +29,10 @@ class MetricSink:
     ``"displace"``, ``"reply"``, ``"flood"`` ...).  ``total`` sums them
     all.  The sink can be snapshotted and diffed, which is how per-query
     message costs are extracted from a shared network.
-
-    ``source`` names the sink for the stamped-delta protocol (see the
-    module docstring); per-shard worker sinks set it to their shard id.
     """
 
-    def __init__(self, source: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._by_kind: Counter[str] = Counter()
-        self.distributions: dict[str, SinkDistribution] = {}
-        self.timers: dict[str, SinkTimer] = {}
-        self.source = source
-        self._seq = 0
-        #: (source, seq) stamps already folded in — the idempotence set.
-        self._applied: set[tuple[str, int]] = set()
 
     def charge(self, kind: str, n: int = 1) -> None:
         """Record ``n`` messages of the given category."""
@@ -188,20 +49,6 @@ class MetricSink:
         """Total messages across all categories."""
         return sum(self._by_kind.values())
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the named distribution."""
-        dist = self.distributions.get(name)
-        if dist is None:
-            dist = self.distributions[name] = SinkDistribution()
-        dist.record(value)
-
-    def time(self, name: str) -> _SinkTiming:
-        """Context manager timing one region into the named timer."""
-        stat = self.timers.get(name)
-        if stat is None:
-            stat = self.timers[name] = SinkTimer()
-        return _SinkTiming(stat)
-
     def snapshot(self) -> dict[str, int]:
         """A copy of the per-category counts."""
         return dict(self._by_kind)
@@ -216,62 +63,11 @@ class MetricSink:
         return out
 
     def reset(self) -> None:
-        """Clear accumulated state (the idempotence stamp set survives)."""
         self._by_kind.clear()
-        self.distributions.clear()
-        self.timers.clear()
 
-    def checkpoint(self) -> SinkDelta:
-        """Cut the accumulated state into a stamped delta and reset.
-
-        Consecutive checkpoints of one sink carry increasing ``seq``
-        numbers, so a receiver merging tick rounds can both order them
-        and drop re-deliveries."""
-        delta = SinkDelta(
-            source=self.source,
-            seq=self._seq,
-            counts=dict(self._by_kind),
-            distributions={k: d.copy() for k, d in self.distributions.items()},
-            timers={k: t.copy() for k, t in self.timers.items()},
-        )
-        self._seq += 1
-        self.reset()
-        return delta
-
-    def merge(self, other: Union["MetricSink", SinkDelta]) -> bool:
-        """Fold another sink's (or delta's) state into this one.
-
-        Counter, distribution and timer folding is associative, so
-        per-shard deltas aggregate identically regardless of merge
-        grouping.  A stamped :class:`SinkDelta` already merged here is
-        skipped (returns False) — idempotent across repeated tick
-        rounds.  Merging a live ``MetricSink`` is unstamped and always
-        folds, preserving the historical snapshot-merge semantics.
-        """
-        if isinstance(other, SinkDelta):
-            if other.source is not None:
-                stamp = (other.source, other.seq)
-                if stamp in self._applied:
-                    return False
-                self._applied.add(stamp)
-            self._by_kind.update(other.counts)
-            dists = other.distributions
-            timers = other.timers
-        else:
-            self._by_kind.update(other._by_kind)
-            dists = other.distributions
-            timers = other.timers
-        for k, d in dists.items():
-            mine = self.distributions.get(k)
-            if mine is None:
-                mine = self.distributions[k] = SinkDistribution()
-            mine.merge(d)
-        for k, t in timers.items():
-            mine_t = self.timers.get(k)
-            if mine_t is None:
-                mine_t = self.timers[k] = SinkTimer()
-            mine_t.merge(t)
-        return True
+    def merge(self, other: "MetricSink") -> None:
+        """Fold another sink's counts into this one."""
+        self._by_kind.update(other._by_kind)
 
 
 @dataclass

@@ -188,27 +188,6 @@ class Network:
             adm.arrive(dst, kind)
         return node
 
-    def charge_bulk(self, kind: str, n: int, dsts=None) -> None:
-        """Charge ``n`` ``kind`` messages in one call (no delivery).
-
-        The bulk twin of :meth:`send`'s accounting half, used by the
-        sharded simulator to bill a worker's sweep segment without
-        replaying every step through the delivery machinery (the
-        coordinator already planned delivery globally).  ``dsts``
-        optionally carries the per-message destination ids so the
-        ``net.node_inbox`` observability bucket stays exact; counters
-        are charged identically to ``n`` individual sends.
-        """
-        if n == 0:
-            return
-        self.sink.charge(kind, n)
-        if self._obs_on:
-            self.obs.metrics.counter(f"net.sent.{kind}", n)
-            if dsts is not None:
-                bucket = self.obs.metrics.bucket
-                for dst in dsts:
-                    bucket("net.node_inbox", int(dst))
-
     def try_send(self, src: int, dst: int, kind: str = "route") -> Optional[PeerNode]:
         """Like :meth:`send` but returns ``None`` instead of raising on a
         dead destination.  Back-pressure still propagates: a shed is a

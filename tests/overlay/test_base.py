@@ -3,6 +3,7 @@
 import pytest
 
 from repro.overlay.base import RouteResult
+from repro.overlay.chord import ChordOverlay
 from repro.overlay.idspace import KeySpace
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
@@ -51,6 +52,62 @@ class TestMembershipHelpers:
         assert 555 not in ov.ring  # ring stayed consistent
 
 
+class TestBulkAddNodes:
+    """``add_nodes`` is N scalar ``add_node`` calls in one ring merge."""
+
+    SPECS = [(700, 3), (100, None), (950, 1), (300, 8), (20, None), (510, 2)]
+
+    @pytest.mark.parametrize("overlay_cls", [TornadoOverlay, ChordOverlay])
+    def test_matches_scalar_adds(self, overlay_cls):
+        scalar = overlay_cls(SPACE, Network())
+        for nid, cap in self.SPECS:
+            scalar.add_node(nid, capacity=cap)
+        bulk = overlay_cls(SPACE, Network())
+        nodes = bulk.add_nodes(self.SPECS)
+        assert [n.node_id for n in nodes] == [nid for nid, _ in self.SPECS]
+        assert list(bulk.ring) == list(scalar.ring)
+        assert [(n.node_id, n.capacity) for n in bulk.nodes()] == [
+            (n.node_id, n.capacity) for n in scalar.nodes()
+        ]
+        for nid, _ in self.SPECS:
+            for direction in ("both", "up", "down"):
+                assert bulk.walk_order(nid, direction) == scalar.walk_order(
+                    nid, direction
+                )
+            for key in (0, 333, 999):
+                assert bulk.route(nid, key).path == scalar.route(nid, key).path
+
+    def test_extends_a_populated_ring(self):
+        scalar = make_overlay()
+        for nid in (200, 400):
+            scalar.add_node(nid, capacity=5)
+        bulk = make_overlay()
+        bulk.walk_order(100)  # a cached order must not survive the merge
+        bulk.add_nodes([(400, 5), (200, 5)])
+        assert list(bulk.ring) == list(scalar.ring)
+        assert bulk.walk_order(100) == scalar.walk_order(100)
+
+    def test_duplicate_id_leaves_overlay_unchanged(self):
+        ov = make_overlay((100, 500))
+        with pytest.raises(ValueError):
+            ov.add_nodes([(300, None), (500, None)])
+        assert list(ov.ring) == [100, 500]
+        assert sorted(ov.network.node_ids()) == [100, 500]
+
+    def test_network_conflict_rolls_back_ring_and_network(self):
+        from repro.sim.node import PeerNode
+
+        ov = make_overlay((100,))
+        # Register a node directly on the network to force the conflict
+        # midway through the batch, after two nodes were already added.
+        ov.network.add_node(PeerNode(555))
+        with pytest.raises(ValueError):
+            ov.add_nodes([(200, None), (300, None), (555, None), (800, None)])
+        assert list(ov.ring) == [100]
+        assert sorted(ov.network.node_ids()) == [100, 555]
+        assert ov.walk_order(100) == []
+
+
 class TestLiveHome:
     def test_prefers_true_home(self):
         ov = make_overlay()
@@ -95,9 +152,9 @@ class TestNeighborHelpers:
     def test_closest_neighbors_wrap_mode(self):
         ov = make_overlay()
         out = list(ov.closest_neighbors(900, wrap=True))
-        assert set(out) == {100, 300, 500, 700}
-        # 100 is nearest under wrap (distance 200 == 700's; tie upward).
-        assert out[0] in (100, 700)
+        # Wrap ties emit the smaller key first: 100 and 700 are both 200
+        # away, then 300 and 500 both 400.
+        assert out == [100, 700, 300, 500]
 
 
 class TestWalkOrderMemo:

@@ -99,6 +99,24 @@ class TestSortedKeyRing:
         assert ring.discard(50)
         assert not ring.discard(50)
 
+    def test_update_merges_in_sorted_order(self):
+        ring = SortedKeyRing(SPACE, [5, 100])
+        ring.update([700, 50, 999, 0])
+        assert list(ring) == [0, 5, 50, 100, 700, 999]
+        ring.update([])
+        assert list(ring) == [0, 5, 50, 100, 700, 999]
+
+    @pytest.mark.parametrize(
+        "batch",
+        [[300, 40, 300], [300, 100, 600]],
+        ids=["duplicate-within-batch", "duplicate-of-ring-key"],
+    )
+    def test_update_rejects_duplicates_unchanged(self, batch):
+        ring = SortedKeyRing(SPACE, [5, 100, 800])
+        with pytest.raises(ValueError, match="already in ring"):
+            ring.update(batch)
+        assert list(ring) == [5, 100, 800]
+
     def test_successor_predecessor_wrap(self):
         ring = SortedKeyRing(SPACE, [100, 500, 900])
         assert ring.successor(100) == 100
@@ -162,9 +180,9 @@ class TestSortedKeyRing:
     def test_neighbors_outward_wrap_covers_all(self):
         ring = SortedKeyRing(SPACE, [10, 300, 600, 950])
         out = list(ring.neighbors_outward(980, wrap=True))
-        assert sorted(out) == [10, 300, 600, 950]
-        # nearest under wrap is 10 (dist 30), then 950 (dist 30 tie) ...
-        assert set(out[:2]) == {10, 950}
+        # 10 and 950 are both 30 away under wrap: the smaller key comes
+        # first (unlike the linear walk), then 300 (320) and 600 (380).
+        assert out == [10, 950, 300, 600]
 
     @given(st.sets(keys_st, min_size=1, max_size=30), keys_st)
     @settings(max_examples=200)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.metrics import (
-    HopHistogram,
-    MetricSink,
-    QueryTrace,
-    SinkDistribution,
-    percentile_summary,
-)
+from repro.sim.metrics import HopHistogram, MetricSink, QueryTrace, percentile_summary
 
 
 class TestMetricSink:
@@ -177,117 +171,3 @@ class TestPercentileSummary:
             "p99": 7.0,
             "max": 7.0,
         }
-
-
-class TestSinkDistribution:
-    def test_exact_moments(self):
-        d = SinkDistribution()
-        for v in (2.0, 4.0, 9.0):
-            d.record(v)
-        assert d.count == 3
-        assert d.total == pytest.approx(15.0)
-        assert d.sq_total == pytest.approx(4 + 16 + 81)
-        assert d.mean == pytest.approx(5.0)
-        assert (d.min, d.max) == (2.0, 9.0)
-
-    def test_merge_associative_and_commutative(self):
-        rng = np.random.default_rng(3)
-        samples = rng.uniform(-5, 5, 30)
-        parts = [SinkDistribution() for _ in range(3)]
-        for i, v in enumerate(samples):
-            parts[i % 3].record(float(v))
-
-        def fold(order):
-            acc = SinkDistribution()
-            for p in order:
-                acc.merge(p.copy())
-            return acc
-
-        left = fold(parts)
-        right = fold(parts[::-1])
-        one = SinkDistribution()
-        for v in samples:
-            one.record(float(v))
-        for d in (left, right):
-            assert d.count == one.count
-            assert d.total == pytest.approx(one.total)
-            assert d.sq_total == pytest.approx(one.sq_total)
-            assert (d.min, d.max) == (one.min, one.max)
-
-    def test_empty_as_dict(self):
-        assert SinkDistribution().as_dict() == {"count": 0}
-
-
-class TestSinkDeltaProtocol:
-    def test_checkpoint_cuts_and_resets(self):
-        sink = MetricSink(source="shard-0")
-        sink.charge("route", 4)
-        sink.observe("walk", 7.0)
-        delta = sink.checkpoint()
-        assert delta.source == "shard-0" and delta.seq == 0
-        assert delta.counts == {"route": 4}
-        assert delta.distributions["walk"].count == 1
-        assert sink.total == 0 and sink.distributions == {}
-        assert sink.checkpoint().seq == 1
-
-    def test_stamped_delta_merges_once(self):
-        worker = MetricSink(source="shard-1")
-        worker.charge("publish", 5)
-        worker.observe("items", 3.0)
-        delta = worker.checkpoint()
-        master = MetricSink()
-        assert master.merge(delta) is True
-        assert master.merge(delta) is False  # re-delivery: dropped
-        assert master.count("publish") == 5
-        assert master.distributions["items"].count == 1
-
-    def test_distinct_seqs_both_fold(self):
-        worker = MetricSink(source="shard-1")
-        worker.charge("route", 1)
-        d0 = worker.checkpoint()
-        worker.charge("route", 2)
-        d1 = worker.checkpoint()
-        master = MetricSink()
-        assert master.merge(d0) and master.merge(d1)
-        assert master.count("route") == 3
-
-    def test_unstamped_delta_always_folds(self):
-        sink = MetricSink()  # source=None -> unstamped snapshots
-        sink.charge("route", 1)
-        delta = sink.checkpoint()
-        master = MetricSink()
-        assert master.merge(delta) and master.merge(delta)
-        assert master.count("route") == 2
-
-    def test_merge_grouping_invariant(self):
-        """Pairwise vs flat merges of per-shard deltas agree exactly."""
-        deltas = []
-        for s in range(4):
-            w = MetricSink(source=f"shard-{s}")
-            w.charge("route", s + 1)
-            w.observe("walk", float(s))
-            deltas.append(w.checkpoint())
-        flat = MetricSink()
-        for d in deltas:
-            flat.merge(d)
-        grouped = MetricSink()
-        left, right = MetricSink(), MetricSink()
-        for d in deltas[:2]:
-            left.merge(d)
-        for d in deltas[2:]:
-            right.merge(d)
-        grouped.merge(left)
-        grouped.merge(right)
-        assert grouped.snapshot() == flat.snapshot()
-        assert (
-            grouped.distributions["walk"].as_dict()
-            == flat.distributions["walk"].as_dict()
-        )
-
-    def test_timer_context_manager(self):
-        sink = MetricSink()
-        with sink.time("region"):
-            sum(range(1000))
-        t = sink.timers["region"]
-        assert t.wall.count == 1 and t.cpu.count == 1
-        assert t.wall.total >= 0.0

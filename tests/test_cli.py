@@ -85,6 +85,49 @@ class TestObservabilityVerbs:
         assert "regression" in capsys.readouterr().out
 
 
+class TestBenchGateKernelSet:
+    """``bench --against`` on the kernel *set*, with the timer stubbed out."""
+
+    @staticmethod
+    def _snapshot(*names):
+        timing = {"best_us": 10.0, "mean_us": 10.0, "repeats": 1, "loops": 1}
+        return {"meta": {}, "kernels": {n: dict(timing) for n in names}}
+
+    @pytest.fixture
+    def fresh_run(self, monkeypatch):
+        from repro.obs import bench
+
+        def fake_run(*, scale, repeats, kernels):
+            names = kernels if kernels is not None else ("alpha", "beta")
+            return self._snapshot(*names)
+
+        monkeypatch.setattr(bench, "run_benchmarks", fake_run)
+
+    def _against(self, tmp_path, baseline, *extra):
+        import json
+
+        path = tmp_path / "BENCH_base.json"
+        path.write_text(json.dumps(baseline))
+        return main(["bench", "--against", str(path), *extra])
+
+    def test_kernel_missing_from_full_run_fails(self, fresh_run, capsys, tmp_path):
+        base = self._snapshot("alpha", "beta", "retired")
+        assert self._against(tmp_path, base) == 1
+        captured = capsys.readouterr()
+        assert "retired" in captured.err
+        assert "retired                 (missing from this run)" in captured.out
+
+    def test_kernel_new_in_fresh_run_passes(self, fresh_run, capsys, tmp_path):
+        assert self._against(tmp_path, self._snapshot("alpha")) == 0
+        assert "(new: not in the baseline)" in capsys.readouterr().out
+
+    def test_subset_run_ignores_kernels_it_skipped(self, fresh_run, capsys, tmp_path):
+        base = self._snapshot("alpha", "beta", "retired")
+        assert self._against(tmp_path, base, "--kernels", "alpha") == 0
+        out = capsys.readouterr().out
+        assert "beta" not in out and "retired" not in out
+
+
 class TestFaultsVerb:
     def test_parses_with_defaults(self):
         args = build_parser().parse_args(["faults"])

@@ -17,7 +17,7 @@ the doc (the BENCH workflow section documents each kernel's workload),
 every ``lsh.*`` instrument the LSH subsystem emits must appear in the
 instrument table, and so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
-subsystem and every ``shard.*`` instrument of the sharded simulator.
+subsystem.
 
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
@@ -104,21 +104,6 @@ def main() -> int:
             failed.append(
                 f"chaos instrument `{name}` is emitted by the message-plane "
                 "fault subsystem but not documented in OBSERVABILITY.md"
-            )
-
-    shard_instruments = (
-        "shard.publish",
-        "shard.publish.items",
-        "shard.publish.sweep_steps",
-        "shard.retrieve",
-        "shard.retrieve.queries",
-        "shard.retrieve.walk_worst",
-    )
-    for name in shard_instruments:
-        if name not in obs_text:
-            failed.append(
-                f"shard instrument `{name}` is emitted by repro.sim.shard "
-                "but not documented in OBSERVABILITY.md"
             )
 
     manifest_path = ROOT / "results" / "manifest.json"
