@@ -24,9 +24,10 @@ Entry points:
   bulk index scoring while keeping per-query accounting identical to a
   sequential loop over :func:`retrieve` (see DESIGN.md, "Read path").
 
-Walk frontiers come from the overlay's memoised
-:meth:`~repro.overlay.base.Overlay.walk_order` (epoch-cached like leaf
-sets); this module filters liveness at consumption time.
+Walk frontiers come from the overlay's lazy
+:meth:`~repro.overlay.base.Overlay.walk_order`, which costs one ring
+step per node consumed; this module filters liveness at consumption
+time.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ def _walk_order(
 ):
     """Frontier of nodes to consult after the home, per walk direction.
 
-    The order itself comes from the overlay's epoch-memoised
-    ``walk_order`` (the per-query recomputation used to dominate
-    hot-home walk cost); liveness is filtered here, at consumption,
-    because ``fail()`` does not invalidate membership caches.
+    The order comes lazily from the overlay's ``walk_order``, so a walk
+    that stops after k nodes pays for k ring steps; liveness is
+    filtered here, at consumption, because ``walk_order`` lists dead
+    nodes too.
     """
     is_alive = system.network.is_alive
     for nid in system.overlay.walk_order(home, direction):

@@ -12,10 +12,10 @@ shares the work three ways:
    epoch-cached route kernel and its path is *replayed* (same message
    charges, no recomputation) for every duplicate;
 2. **walk frontiers** — queries landing on the same home consult
-   neighbors in the same memoised
+   neighbors through one lazy
    :meth:`~repro.overlay.base.Overlay.walk_order`, advanced wave by
    wave so every co-located query harvests a node the moment the
-   shared sweep reaches it;
+   shared sweep reaches it, and drawn only as far as the longest walk;
 3. **index scoring** — each consulted node ranks all active queries in
    one vectorised :meth:`~repro.vsm.index.LocalVsmIndex.query_many`
    pass instead of one ``local_index_query`` per query.

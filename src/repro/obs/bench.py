@@ -33,6 +33,7 @@ import json
 import platform
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -65,8 +66,7 @@ _LOOPS = {
     "local_index_score_many": 5,
     "local_index_add": 5,
     "local_index_add_many": 20,
-    "walk_order_cached": 50,
-    "walk_order_rebuild": 5,
+    "walk_frontier": 5,
     "retrieve_batch": 1,
     "retrieve_per_query": 1,
     "angles_chunked": 3,
@@ -191,25 +191,14 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         for _ in range(64)
     ]
 
-    # Walk-order memo: cache-hit lookups vs full rebuilds of the
-    # materialised neighbor orders (the per-query recomputation the
-    # epoch memo removed from every hot-home walk).
-    for o in origins:
-        overlay.walk_order(o)
-
-    def walk_order_hits() -> int:
+    # Walk frontier: the first 256 entries of the lazy walk order from
+    # each origin (a max_walk=256 retrieve's worst case); its cost must
+    # track the entries taken, not the ring size.
+    def walk_frontier() -> int:
         total = 0
         wo = overlay.walk_order
         for o in origins:
-            total += len(wo(o))
-        return total
-
-    def walk_order_rebuilds() -> int:
-        overlay._walk_orders.clear()  # noqa: SLF001 - forcing the miss path
-        total = 0
-        wo = overlay.walk_order
-        for o in origins:
-            total += len(wo(o))
+            total += len(list(islice(wo(o), 256)))
         return total
 
     # Admission fast path: synchronous sends on a fabric with *no*
@@ -434,8 +423,7 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "local_index_score_many": lambda: idx.score_many(many_qs),
         "local_index_add": (lambda: LocalVsmIndex(4000), index_add_all),
         "local_index_add_many": (lambda: LocalVsmIndex(4000), index_add_many),
-        "walk_order_cached": walk_order_hits,
-        "walk_order_rebuild": walk_order_rebuilds,
+        "walk_frontier": walk_frontier,
         "retrieve_batch": retrieve_batched,
         "retrieve_per_query": retrieve_sequential,
         "batch_publish": (prepare_publish, publish_batch),

@@ -68,19 +68,10 @@ class Overlay(abc.ABC):
     failover behaviour.
     """
 
-    #: Cap on memoised walk orders; a flush at this size bounds memory
-    #: on huge query sweeps without ever serving a stale order.
-    _WALK_ORDER_CAP = 512
-
     def __init__(self, space: KeySpace, network: Network) -> None:
         self.space = space
         self.network = network
         self.ring = SortedKeyRing(space)
-        #: (node_id, direction) → materialised, liveness-UNFILTERED
-        #: visiting order.  Valid until ring membership changes; callers
-        #: filter liveness at consumption time, exactly as the routing
-        #: caches do (``fail()`` does not bump the membership epoch).
-        self._walk_orders: dict[tuple[int, str], list[int]] = {}
 
     # -- membership ----------------------------------------------------------
 
@@ -113,14 +104,11 @@ class Overlay(abc.ABC):
         except ValueError:
             self.ring.discard(node_id)
             raise
-        # Cleared here, not in _on_membership_change(): subclasses
-        # override the hook without calling super().
-        self._walk_orders.clear()
         self._on_membership_change()
         return node
 
     def add_nodes(self, specs: Iterable[tuple[int, Optional[int]]]) -> list[PeerNode]:
-        """Bulk :meth:`add_node`: one ring merge, one cache clear.
+        """Bulk :meth:`add_node`: one ring merge, one membership hook.
 
         ``specs`` is ``(node_id, capacity)`` pairs.  Routing tables are
         built lazily, so deferring the membership hook to the end is
@@ -141,7 +129,6 @@ class Overlay(abc.ABC):
             for node in nodes:
                 self.network.remove_node(node.node_id)
             raise
-        self._walk_orders.clear()
         self._on_membership_change()
         return nodes
 
@@ -149,7 +136,6 @@ class Overlay(abc.ABC):
         """Deregister a node entirely (distinct from failing it)."""
         self.ring.discard(node_id)
         node = self.network.remove_node(node_id)
-        self._walk_orders.clear()
         self._on_membership_change()
         return node
 
@@ -222,56 +208,30 @@ class Overlay(abc.ABC):
                 continue
             yield nid
 
-    def walk_order(self, node_id: int, direction: str = "both") -> list[int]:
-        """The materialised similarity-walk frontier from ``node_id``.
+    def walk_order(self, node_id: int, direction: str = "both") -> Iterator[int]:
+        """The similarity-walk frontier from ``node_id``, yielded lazily.
 
         ``direction="both"`` is the half-circle linear-distance order of
-        :meth:`closest_neighbors`; ``"up"``/``"down"`` step through
-        successors/predecessors and stop at the end of the key space
-        (the angle→key mapping is a half-circle, not a ring).
+        :meth:`closest_neighbors`; ``"up"``/``"down"`` are the keys above/
+        below ``node_id`` in ascending/descending order, stopping at the
+        end of the key space (the angle→key mapping is a half-circle, not
+        a ring).
 
-        Memoised per (node, direction) until membership changes — the
-        same epoch trick as Tornado's leaf sets; the old per-query
-        recomputation dominated hot-home walk cost.  The returned list
-        is liveness-unfiltered and shared: callers must not mutate it,
-        and must skip dead nodes themselves (liveness can change without
-        a membership event).
+        A generator function: nothing runs until the first ``next``.  A
+        ``"both"`` walk that stops after k nodes does O(k) ring steps
+        however large the ring; ``"up"``/``"down"`` take one rank slice
+        of the sorted keys.  The order is liveness-unfiltered (callers
+        skip dead nodes themselves) and follows the membership the walk
+        started from, because ring updates are copy-on-write.
         """
-        cache_key = (node_id, direction)
-        cached = self._walk_orders.get(cache_key)
-        if cached is not None:
-            return cached
         if direction == "both":
-            order = list(self.ring.neighbors_outward(node_id, wrap=False))
-        elif direction in ("up", "down"):
-            order = []
-            ring = self.ring
-            space = self.space
-            cur = node_id
-            seen = {node_id}
-            for _ in range(len(ring)):
-                nxt = (
-                    ring.successor(space.wrap(cur + 1))
-                    if direction == "up"
-                    else ring.predecessor(cur)
-                )
-                if nxt in seen:
-                    break
-                # Half-circle stop: a directional sweep ends at the
-                # extreme of the space instead of wrapping around.
-                if direction == "up" and nxt < cur:
-                    break
-                if direction == "down" and nxt > cur:
-                    break
-                cur = nxt
-                seen.add(cur)
-                order.append(cur)
+            yield from self.ring.neighbors_outward(node_id, wrap=False)
+        elif direction == "up":
+            yield from self.ring.range_keys(node_id + 1, self.space.modulus)
+        elif direction == "down":
+            yield from reversed(self.ring.range_keys(0, node_id))
         else:
             raise ValueError(f"unknown walk direction {direction!r}")
-        if len(self._walk_orders) >= self._WALK_ORDER_CAP:
-            self._walk_orders.clear()
-        self._walk_orders[cache_key] = order
-        return order
 
     def closest_neighbor(self, node_id: int, *, alive_only: bool = True) -> Optional[int]:
         """The single nearest neighbor in key order, or None."""

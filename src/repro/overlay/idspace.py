@@ -141,8 +141,10 @@ class SortedKeyRing:
     This is the membership index shared by the overlays: node IDs live in
     a sorted array, and both "numerically closest node" (ring metric) and
     "next neighbor in key order" (linear walk) are answered with binary
-    search.  Mutations are O(n) (array insert), which is fine at the
-    simulator scales of this repo (<= a few 10^4 nodes).
+    search.  Mutations are O(n) and copy-on-write: they rebind a new
+    list instead of editing the old one, so a walk paused mid-way keeps
+    the membership it started from (no skipped or repeated key).  That
+    is fine at the simulator scales of this repo (<= a few 10^4 nodes).
     """
 
     def __init__(self, space: KeySpace, keys: Iterable[int] = ()) -> None:
@@ -170,10 +172,11 @@ class SortedKeyRing:
     def add(self, key: int) -> None:
         """Insert a key; raises if it is already present."""
         self.space.validate(key)
-        i = bisect.bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
+        keys = self._keys
+        i = bisect.bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
             raise ValueError(f"key {key} already in ring")
-        self._keys.insert(i, key)
+        self._keys = keys[:i] + [key] + keys[i:]
 
     def update(self, keys: Iterable[int]) -> None:
         """Bulk-insert keys in one sorted merge; raises on any duplicate.
@@ -201,9 +204,10 @@ class SortedKeyRing:
 
     def discard(self, key: int) -> bool:
         """Remove a key if present; returns whether it was removed."""
-        i = bisect.bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            del self._keys[i]
+        keys = self._keys
+        i = bisect.bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            self._keys = keys[:i] + keys[i + 1:]
             return True
         return False
 
@@ -259,56 +263,54 @@ class SortedKeyRing:
         ``key`` itself is excluded when present.  With ``wrap=False`` the
         walk uses linear distance and stops at the ends of the space —
         this is Meteorograph's closest-neighbor walk over the half
-        circle.  With ``wrap=True`` the ring metric is used.
+        circle; equidistant pairs emit the larger key first.  With
+        ``wrap=True`` the ring metric is used.  Each step is O(1), and
+        the walk iterates the membership it started from.
         """
         self._require_nonempty()
-        n = len(self._keys)
-        i = bisect.bisect_left(self._keys, key)
-        has_self = i < n and self._keys[i] == key
+        keys = self._keys
+        n = len(keys)
+        i = bisect.bisect_left(keys, key)
+        has_self = i < n and keys[i] == key
         lo = i - 1
         hi = i + 1 if has_self else i
-        dist = (
-            (lambda k: self.space.ring_distance(k, key))
-            if wrap
-            else (lambda k: abs(k - key))
-        )
         if wrap:
             # Two-pointer merge over the circular order; indices wrap mod n.
             # Equidistant pairs emit the smaller key first — the same
             # tie-break as ``closest`` and the route kernel, so the
             # ``live_home`` preference order agrees with where greedy
             # strict-descent routing actually settles.
-            emitted = 0
-            lo_i, hi_i = lo, hi
-            total = n - (1 if has_self else 0)
-            while emitted < total:
-                lo_k = self._keys[lo_i % n]
-                hi_k = self._keys[hi_i % n]
-                dh = dist(hi_k)
-                dl = dist(lo_k)
+            m = self.space.modulus
+            for _ in range(n - 1 if has_self else n):
+                lo_k = keys[lo % n]
+                hi_k = keys[hi % n]
+                dh = (hi_k - key) % m
+                if m - dh < dh:
+                    dh = m - dh
+                dl = (key - lo_k) % m
+                if m - dl < dl:
+                    dl = m - dl
                 if dh < dl or (dh == dl and hi_k < lo_k):
                     yield hi_k
-                    hi_i += 1
-                else:
-                    yield lo_k
-                    lo_i -= 1
-                emitted += 1
-            return
-        while lo >= 0 or hi < n:
-            if lo < 0:
-                yield self._keys[hi]
-                hi += 1
-            elif hi >= n:
-                yield self._keys[lo]
-                lo -= 1
-            else:
-                kl, kh = self._keys[lo], self._keys[hi]
-                if dist(kh) <= dist(kl):
-                    yield kh
                     hi += 1
                 else:
-                    yield kl
+                    yield lo_k
                     lo -= 1
+            return
+        # keys[lo] < key < keys[hi], so both distances are plain differences.
+        while lo >= 0 and hi < n:
+            kl = keys[lo]
+            kh = keys[hi]
+            if kh - key <= key - kl:
+                yield kh
+                hi += 1
+            else:
+                yield kl
+                lo -= 1
+        for j in range(hi, n):
+            yield keys[j]
+        for j in range(lo, -1, -1):
+            yield keys[j]
 
     def range_count(self, lo: int, hi: int) -> int:
         """Number of keys in the linear half-open interval ``[lo, hi)``."""

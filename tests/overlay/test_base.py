@@ -1,10 +1,15 @@
 """Direct tests for the abstract overlay layer (RouteResult, shared helpers)."""
 
+from itertools import islice
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.base import RouteResult
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.idspace import KeySpace
+from repro.overlay.idspace import KeySpace, SortedKeyRing
 from repro.overlay.tornado import TornadoOverlay
 from repro.sim.network import Network
 
@@ -71,8 +76,8 @@ class TestBulkAddNodes:
         ]
         for nid, _ in self.SPECS:
             for direction in ("both", "up", "down"):
-                assert bulk.walk_order(nid, direction) == scalar.walk_order(
-                    nid, direction
+                assert list(bulk.walk_order(nid, direction)) == list(
+                    scalar.walk_order(nid, direction)
                 )
             for key in (0, 333, 999):
                 assert bulk.route(nid, key).path == scalar.route(nid, key).path
@@ -82,10 +87,9 @@ class TestBulkAddNodes:
         for nid in (200, 400):
             scalar.add_node(nid, capacity=5)
         bulk = make_overlay()
-        bulk.walk_order(100)  # a cached order must not survive the merge
         bulk.add_nodes([(400, 5), (200, 5)])
         assert list(bulk.ring) == list(scalar.ring)
-        assert bulk.walk_order(100) == scalar.walk_order(100)
+        assert list(bulk.walk_order(100)) == list(scalar.walk_order(100))
 
     def test_duplicate_id_leaves_overlay_unchanged(self):
         ov = make_overlay((100, 500))
@@ -105,7 +109,7 @@ class TestBulkAddNodes:
             ov.add_nodes([(200, None), (300, None), (555, None), (800, None)])
         assert list(ov.ring) == [100]
         assert sorted(ov.network.node_ids()) == [100, 555]
-        assert ov.walk_order(100) == []
+        assert list(ov.walk_order(100)) == []
 
 
 class TestLiveHome:
@@ -157,56 +161,127 @@ class TestNeighborHelpers:
         assert out == [100, 700, 300, 500]
 
 
-class TestWalkOrderMemo:
-    """The memoised walk_order must match the lazy generators it replaced
-    and invalidate on every ring-membership change (fail() is NOT a
-    membership change — callers filter liveness themselves)."""
+def _stepping_reference(overlay, node_id, direction):
+    """The successor/predecessor stepping loop ``walk_order("up"/"down")``
+    used before it became a rank slice, kept as the differential oracle."""
+    ring, space = overlay.ring, overlay.space
+    order = []
+    cur = node_id
+    seen = {node_id}
+    for _ in range(len(ring)):
+        nxt = (
+            ring.successor(space.wrap(cur + 1))
+            if direction == "up"
+            else ring.predecessor(cur)
+        )
+        if nxt in seen:
+            break
+        if direction == "up" and nxt < cur:
+            break
+        if direction == "down" and nxt > cur:
+            break
+        cur = nxt
+        seen.add(cur)
+        order.append(cur)
+    return order
+
+
+class TestWalkFrontier:
+    """``walk_order`` is a lazy, liveness-unfiltered generator over the
+    ring membership it started from; callers skip dead nodes and stop
+    early, so a walk pays only for the entries it takes."""
 
     def test_both_matches_closest_neighbors(self):
         ov = make_overlay()
         for nid in (100, 500, 900):
-            assert ov.walk_order(nid) == list(
+            assert list(ov.walk_order(nid)) == list(
                 ov.closest_neighbors(nid, alive_only=False)
             )
 
+    def test_both_exact_orders(self):
+        ov = make_overlay()
+        # Equal linear distance: the larger key comes first.
+        assert list(ov.walk_order(500)) == [700, 300, 900, 100]
+        # Ids absent from the ring walk outward from where they would sit.
+        assert list(ov.walk_order(400)) == [500, 300, 700, 100, 900]
+        assert list(ov.walk_order(350)) == [300, 500, 100, 700, 900]
+        # No wrap-around: the far end of the space is the farthest node.
+        assert list(ov.walk_order(0)) == [100, 300, 500, 700, 900]
+        assert list(ov.walk_order(999)) == [900, 700, 500, 300, 100]
+
     def test_directional_orders(self):
         ov = make_overlay()
-        assert ov.walk_order(500, "up") == [700, 900]    # stops at space end
-        assert ov.walk_order(500, "down") == [300, 100]  # no wrap-around
-        assert ov.walk_order(900, "up") == []
-        assert ov.walk_order(100, "down") == []
+        assert list(ov.walk_order(500, "up")) == [700, 900]    # stops at space end
+        assert list(ov.walk_order(500, "down")) == [300, 100]  # no wrap-around
+        assert list(ov.walk_order(900, "up")) == []
+        assert list(ov.walk_order(100, "down")) == []
+        assert list(ov.walk_order(400, "up")) == [500, 700, 900]
+        assert list(ov.walk_order(400, "down")) == [300, 100]
+        assert list(ov.walk_order(999, "up")) == []
+        assert list(ov.walk_order(0, "down")) == []
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
-            make_overlay().walk_order(100, "sideways")
+            list(make_overlay().walk_order(100, "sideways"))
 
-    def test_cached_instance_returned(self):
+    def test_membership_change_visible_to_new_frontier(self):
         ov = make_overlay()
-        assert ov.walk_order(300) is ov.walk_order(300)
-
-    def test_membership_change_invalidates(self):
-        ov = make_overlay()
-        before = ov.walk_order(100)
         ov.add_node(200)
-        after = ov.walk_order(100)
-        assert after is not before
-        assert 200 in after
+        assert list(ov.walk_order(100)) == [200, 300, 500, 700, 900]
+        assert list(ov.walk_order(100, "up"))[0] == 200
         ov.remove_node(200)
-        assert 200 not in ov.walk_order(100)
+        assert list(ov.walk_order(100)) == [300, 500, 700, 900]
 
-    def test_fail_does_not_invalidate(self):
+    def test_dead_nodes_listed(self):
         ov = make_overlay()
-        order = ov.walk_order(100)
         ov.node(300).fail()
-        assert ov.walk_order(100) is order  # dead node still listed
-        assert 300 in order
+        for direction in ("both", "up"):
+            assert list(ov.walk_order(100, direction)) == [300, 500, 700, 900]
+        assert list(ov.walk_order(500, "down")) == [300, 100]
 
-    def test_cap_flush_bounds_memory(self):
+    @pytest.mark.parametrize("direction", ["both", "up", "down"])
+    def test_paused_frontier_keeps_its_membership(self, direction):
+        # A join and a leave while a walk is paused must neither skip
+        # nor repeat a key of the order the walk started on.
         ov = make_overlay()
-        ov._WALK_ORDER_CAP = 4
-        for nid in (100, 300, 500, 700, 900):
-            ov.walk_order(nid)
-        assert len(ov._walk_orders) <= 4 + 1
-        assert ov.walk_order(100) == list(
-            ov.closest_neighbors(100, alive_only=False)
+        expected = list(ov.walk_order(500, direction))
+        walk = ov.walk_order(500, direction)
+        taken = [next(walk)]
+        ov.add_node(200)
+        ov.remove_node(900)
+        assert taken + list(walk) == expected
+
+    @given(
+        st.sets(st.integers(0, 999), max_size=30),
+        st.integers(0, 999),
+        st.sampled_from(["up", "down"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_directional_matches_stepping_reference(self, members, probe, direction):
+        ov = make_overlay(sorted(members))
+        assert list(ov.walk_order(probe, direction)) == _stepping_reference(
+            ov, probe, direction
         )
+
+    @pytest.mark.parametrize("n_nodes", [1_000, 10_000])
+    def test_taking_k_entries_draws_k_ring_steps(self, monkeypatch, n_nodes):
+        steps = 0
+        real = SortedKeyRing.neighbors_outward
+
+        def counted(ring, key, wrap=False):
+            nonlocal steps
+            for nid in real(ring, key, wrap):
+                steps += 1
+                yield nid
+
+        monkeypatch.setattr(SortedKeyRing, "neighbors_outward", counted)
+        rng = np.random.default_rng(n_nodes)
+        space = KeySpace()
+        ids = np.unique(rng.integers(0, space.modulus, 2 * n_nodes))
+        ov = TornadoOverlay(space, Network())
+        ov.add_nodes((int(nid), None) for nid in rng.permutation(ids)[:n_nodes])
+        for origin in (ov.ring.at(0), ov.ring.at(n_nodes // 2), ov.ring.at(-1)):
+            for k in (1, 6, 256):
+                before = steps
+                assert len(list(islice(ov.walk_order(origin), k))) == k
+                assert steps - before == k
