@@ -84,7 +84,7 @@ def _bench_items(rng, n=400):
 
 def test_local_index_query(benchmark):
     rng = np.random.default_rng(1)
-    idx = LocalVsmIndex(4000)
+    idx = LocalVsmIndex()
     for it in _bench_items(rng):
         idx.add(it)
     from repro.vsm.sparse import SparseVector
@@ -101,7 +101,7 @@ def test_local_index_add_many(benchmark):
     items = _bench_items(np.random.default_rng(2))
 
     def run():
-        idx = LocalVsmIndex(4000)
+        idx = LocalVsmIndex()
         idx.add_many(items)
         return len(idx)
 
@@ -112,7 +112,7 @@ def test_local_index_score_many(benchmark):
     from repro.vsm.sparse import SparseVector
 
     rng = np.random.default_rng(1)
-    idx = LocalVsmIndex(4000)
+    idx = LocalVsmIndex()
     for it in _bench_items(rng):
         idx.add(it)
     queries = [

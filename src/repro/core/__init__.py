@@ -37,7 +37,7 @@ from .search_batch import retrieve_many
 from .firsthop import FirstHopSelector
 from .directory import pointer_for, publish_pointer
 from .replication import ReplicaRecord, ReplicationManager
-from .meteorograph import Meteorograph, MeteorographConfig, NodeState, PlacementScheme
+from .meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from .ranges import AttributeSpec, RangeDirectory, RangeQueryResult
 from .notify import NotificationService, Subscription, Notification
 from .softstate import SoftStateManager, OwnedItem
@@ -83,7 +83,6 @@ __all__ = [
     "ReplicationManager",
     "Meteorograph",
     "MeteorographConfig",
-    "NodeState",
     "PlacementScheme",
     "AttributeSpec",
     "RangeDirectory",

@@ -2,26 +2,25 @@
 
 ``batch_publish`` under finite capacity historically ran one
 :func:`repro.core.publish.run_displacement_chain` per item: every chain
-hop paid a ``PeerNode`` store/evict, a ``NodeState`` ladder update *and*
-a full ``LocalVsmIndex`` add/remove — ~80 set operations per hop for
-bench-shaped items — even though almost every intermediate placement is
-transient (the item is displaced again a few events later).
+hop paid a full node-store add/remove (``LocalVsmIndex`` row append,
+ladder update, tombstone) — even though almost every intermediate
+placement is transient (the item is displaced again a few events
+later).
 
 The cascade engine keeps the *exact* sequential semantics but runs the
-whole batch against **lightweight shadow state** first and reconciles
-real node state once at the end:
+whole batch against **lightweight shadow state** first and writes the
+net result to the node stores once at the end:
 
 * Every displacement event is simulated in strict list order against
-  per-node shadows (an item dict plus the sorted angle ladder), so
-  victim selection, hop budgets, drops and chain traces are equal to the
-  sequential loop *by construction* — including order-dependent
-  outcomes and cross-home chain interactions that a per-home bulk pass
-  would get wrong.  The equivalence property tests in
-  ``tests/core/test_batch_publish.py`` pin this.
-* Items that only pass through a node never touch its inverted index:
-  after the simulation, each touched node applies one net diff
-  (bulk evict + bulk ``add_many``), which is where the order-of-
-  magnitude win comes from.
+  per-node shadows (an item dict plus the sorted angle ladder, seeded
+  from the node's index), so victim selection, hop budgets, drops and
+  chain traces are equal to the sequential loop *by construction* —
+  including order-dependent outcomes and cross-home chain interactions
+  that a per-home bulk pass would get wrong.  The equivalence property
+  tests in ``tests/core/test_batch_publish.py`` pin this.
+* Items that only pass through a node never touch its store: after the
+  simulation, each touched node applies one net diff (bulk evict + bulk
+  store), which is where the order-of-magnitude win comes from.
 * Per-home ``closest_neighbors`` frontiers are materialised once and
   shared by every chain anchored at that home (ring membership and
   liveness are frozen for the duration of a batch).
@@ -30,13 +29,12 @@ real node state once at the end:
   observability enabled the same ``net.sent.displace`` counters,
   ``net.node_inbox`` buckets and ``displace`` trace events are emitted.
 
-The engine only handles the ``ANGLE`` policy (victims are ladder
-extremes); ``COSINE`` scans whole indexes and always falls back to the
-sequential loop, as do configurations with notification or admission
-hooks that observe per-event side effects.  If the engine detects
-shadow/real state divergence it aborts *before any real mutation or
-charge* and the caller reruns the sequential branch — fallback is
-always safe.
+The engine falls back to the sequential loop only by configuration
+(:func:`cascade_supported`): it handles the ``ANGLE`` policy (victims
+are ladder extremes), while ``COSINE`` scans whole indexes and
+configurations with notification or admission hooks observe per-event
+side effects.  A node's index is its only item store, so shadows seed
+from the one copy there is and cannot disagree with it.
 
 The same batching discipline — share the expensive sweep, replay exact
 per-item accounting, fall back sequentially when a configuration
@@ -57,10 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .publish import PublishResult
 
 __all__ = ["cascade_supported", "cascade_placement"]
-
-
-class _ShadowMismatch(Exception):
-    """Shadow seeding found node storage out of sync with NodeState."""
 
 
 class _Shadow:
@@ -100,16 +94,9 @@ def cascade_supported(system: "Meteorograph", policy) -> bool:
 
 def _seed_shadow(system: "Meteorograph", nid: int) -> _Shadow:
     node = system.network.node(nid)
-    state = system._states.get(nid)  # noqa: SLF001 - engine is core-internal
-    if state is None:
-        if len(node) != 0:
-            raise _ShadowMismatch(nid)
+    if node.index is None:
         return _Shadow(node.capacity, {}, [])
-    ladder, items = state.snapshot()
-    if len(items) != len(node):
-        # Node storage and Meteorograph state disagree (foreign caller
-        # mutated one side) — the sequential loop is the authority.
-        raise _ShadowMismatch(nid)
+    ladder, items = node.index.snapshot()
     return _Shadow(node.capacity, items, ladder)
 
 
@@ -122,13 +109,11 @@ def cascade_placement(
     *,
     hop_budget: Optional[int] = None,
     norms=None,
-) -> bool:
+) -> list:
     """Place ``items`` (list order) at ``homes``, displacing as needed.
 
     Fills ``results[k]`` with the :class:`PublishResult` each item would
-    get from the sequential chain loop.  Returns ``False`` — with no
-    state mutated and no messages charged — when the engine must fall
-    back; the caller then runs the per-item branch over the same inputs.
+    get from the sequential chain loop, and returns ``results``.
     """
     from .publish import PublishResult
 
@@ -144,98 +129,95 @@ def cascade_placement(
     total_hops = 0
     failures = 0
 
-    try:
-        for k, item in enumerate(items):
-            home = homes[k]
-            res = PublishResult(
-                item_id=item.item_id, home=home, route_hops=route_hops[k]
-            )
-            results[k] = res
-            current = home
-            incoming = item
-            budget = hop_budget
-            frontier_i = 0
+    for k, item in enumerate(items):
+        home = homes[k]
+        res = PublishResult(
+            item_id=item.item_id, home=home, route_hops=route_hops[k]
+        )
+        results[k] = res
+        current = home
+        incoming = item
+        budget = hop_budget
+        frontier_i = 0
+        sh = shadows.get(current)
+        if sh is None:
+            sh = shadows[current] = _seed_shadow(system, current)
+        while True:
+            smap = sh.items
+            cap = sh.cap
+            if cap is None or len(smap) < cap:
+                # Mirror of store_at: store replaces a held id.
+                iid = incoming.item_id
+                old = smap.get(iid)
+                ladder = sh.ladder
+                if old is not None:
+                    j = bisect_left(ladder, (old.angle_key, iid))
+                    del ladder[j]
+                smap[iid] = incoming
+                insort(ladder, (incoming.angle_key, iid))
+                break
+            # Full node under ANGLE: the victim is max() over
+            # [min-extreme, max-extreme, incoming] ranked by
+            # (|angle - incoming.angle|, item_id) — first-wins on
+            # ties, exactly as _pick_victim computes it.
+            ladder = sh.ladder
+            ak = incoming.angle_key
+            v_key, v_id = ladder[0]
+            v_d = v_key - ak if v_key >= ak else ak - v_key
+            h_key, h_id = ladder[-1]
+            h_d = h_key - ak if h_key >= ak else ak - h_key
+            if h_d > v_d or (h_d == v_d and h_id > v_id):
+                v_d, v_id = h_d, h_id
+            i_id = incoming.item_id
+            if 0 > v_d or (v_d == 0 and i_id > v_id):
+                victim = incoming
+            else:
+                victim = smap[v_id]
+            if victim.item_id != i_id:
+                # Swap: evict the victim, admit the incoming item.
+                del smap[v_id]
+                j = bisect_left(ladder, (victim.angle_key, v_id))
+                del ladder[j]
+                smap[i_id] = incoming
+                insort(ladder, (ak, i_id))
+            if budget is not None and budget <= 0:
+                res.success = False
+                res.dropped_item_id = victim.item_id
+                failures += 1
+                break
+            fr = frontiers.get(home)
+            if fr is None:
+                fr = frontiers[home] = (
+                    [],
+                    overlay.closest_neighbors(home, alive_only=True),
+                )
+            flist, fgen = fr
+            while frontier_i >= len(flist):
+                nxt = next(fgen, None)
+                if nxt is None:
+                    break
+                flist.append(nxt)
+            if frontier_i >= len(flist):
+                res.success = False
+                res.dropped_item_id = victim.item_id
+                failures += 1
+                break
+            next_id = flist[frontier_i]
+            frontier_i += 1
+            total_hops += 1
+            res.displacement_hops += 1
+            res.chain.append(next_id)
+            if inbox is not None:
+                inbox[next_id] += 1
+            if events is not None:
+                events.append((current, next_id, victim.item_id))
+            if budget is not None:
+                budget -= 1
+            current = next_id
+            incoming = victim
             sh = shadows.get(current)
             if sh is None:
                 sh = shadows[current] = _seed_shadow(system, current)
-            while True:
-                smap = sh.items
-                cap = sh.cap
-                if cap is None or len(smap) < cap:
-                    # Mirror of store_at: store replaces a held id.
-                    iid = incoming.item_id
-                    old = smap.get(iid)
-                    ladder = sh.ladder
-                    if old is not None:
-                        j = bisect_left(ladder, (old.angle_key, iid))
-                        del ladder[j]
-                    smap[iid] = incoming
-                    insort(ladder, (incoming.angle_key, iid))
-                    break
-                # Full node under ANGLE: the victim is max() over
-                # [min-extreme, max-extreme, incoming] ranked by
-                # (|angle - incoming.angle|, item_id) — first-wins on
-                # ties, exactly as _pick_victim computes it.
-                ladder = sh.ladder
-                ak = incoming.angle_key
-                v_key, v_id = ladder[0]
-                v_d = v_key - ak if v_key >= ak else ak - v_key
-                h_key, h_id = ladder[-1]
-                h_d = h_key - ak if h_key >= ak else ak - h_key
-                if h_d > v_d or (h_d == v_d and h_id > v_id):
-                    v_d, v_id = h_d, h_id
-                i_id = incoming.item_id
-                if 0 > v_d or (v_d == 0 and i_id > v_id):
-                    victim = incoming
-                else:
-                    victim = smap[v_id]
-                if victim.item_id != i_id:
-                    # Swap: evict the victim, admit the incoming item.
-                    del smap[v_id]
-                    j = bisect_left(ladder, (victim.angle_key, v_id))
-                    del ladder[j]
-                    smap[i_id] = incoming
-                    insort(ladder, (ak, i_id))
-                if budget is not None and budget <= 0:
-                    res.success = False
-                    res.dropped_item_id = victim.item_id
-                    failures += 1
-                    break
-                fr = frontiers.get(home)
-                if fr is None:
-                    fr = frontiers[home] = (
-                        [],
-                        overlay.closest_neighbors(home, alive_only=True),
-                    )
-                flist, fgen = fr
-                while frontier_i >= len(flist):
-                    nxt = next(fgen, None)
-                    if nxt is None:
-                        break
-                    flist.append(nxt)
-                if frontier_i >= len(flist):
-                    res.success = False
-                    res.dropped_item_id = victim.item_id
-                    failures += 1
-                    break
-                next_id = flist[frontier_i]
-                frontier_i += 1
-                total_hops += 1
-                res.displacement_hops += 1
-                res.chain.append(next_id)
-                if inbox is not None:
-                    inbox[next_id] += 1
-                if events is not None:
-                    events.append((current, next_id, victim.item_id))
-                if budget is not None:
-                    budget -= 1
-                current = next_id
-                incoming = victim
-                sh = shadows.get(current)
-                if sh is None:
-                    sh = shadows[current] = _seed_shadow(system, current)
-    except _ShadowMismatch:
-        return False
 
     _reconcile(system, shadows, items, norms)
     # Accounting: one displace message per chain hop, charged in bulk —
@@ -253,7 +235,7 @@ def cascade_placement(
     if events is not None:
         for src, dst, iid in events:
             tracer.event("displace", src=src, dst=dst, item=iid)
-    return True
+    return results
 
 
 def _reconcile(
@@ -262,16 +244,16 @@ def _reconcile(
     items: Sequence[StoredItem],
     norms=None,
 ) -> None:
-    """Apply each touched node's net diff to real node/index state.
+    """Apply each touched node's net diff to its store.
 
     Removals run everywhere first (collecting moved items' indexed
     norms), then each node bulk-stores its additions — equivalent to
     the sequential interleaving because per-node end states, not
-    histories, determine node storage, ladders and inverted indexes.
+    histories, determine node stores and their ladders.
     """
     network = system.network
     moved_norms: dict[int, float] = {}
-    plan: list[tuple[int, list[int], list[StoredItem]]] = []
+    plan: list[tuple[int, list[StoredItem]]] = []
     for nid, sh in shadows.items():
         initial = sh.initial
         final = sh.items
@@ -285,26 +267,20 @@ def _reconcile(
             for iid, it in final.items()
             if initial.get(iid) is not it
         ]
-        if not removed and not added:
-            continue
         if removed:
-            state = system.state(nid)
-            moved_norms.update(
-                zip(removed, state.index.norms_of_many(removed))
-            )
-            state.remove_many(removed)
-            network.node(nid).evict_many(removed)
-        plan.append((nid, removed, added))
-    if not any(added for _, _, added in plan):
+            node = network.node(nid)
+            moved_norms.update(zip(removed, node.index.norms_of_many(removed)))
+            node.evict_many(removed)
+        if added:
+            plan.append((nid, added))
+    if not plan:
         return
     batch_norms: dict[int, float] = {}
     if norms is not None:
         batch_norms = dict(
             zip((it.item_id for it in items), norms.tolist())
         )
-    for nid, _removed, added in plan:
-        if not added:
-            continue
+    for nid, added in plan:
         add_norms: Optional[list[float]] = []
         for it in added:
             n = moved_norms.get(it.item_id)
@@ -314,5 +290,4 @@ def _reconcile(
                 add_norms = None
                 break
             add_norms.append(n)
-        network.node(nid).store_many(added)
-        system.state(nid).add_many(added, add_norms)
+        network.node(nid).store_many(added, add_norms)

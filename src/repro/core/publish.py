@@ -107,14 +107,15 @@ def _pick_victim(
     storing it just to displace it again would churn two items instead
     of one).
     """
-    state = system.state(node_id)
+    index = system.network.node(node_id).index
+    assert index is not None, "full node with no item store"
     if policy is ReplacementPolicy.COSINE:
         query = SparseVector(incoming.keyword_ids, incoming.weights, system.dim)
-        victim = state.index.least_similar(query)
+        victim = index.least_similar(query)
         assert victim is not None, "full node with empty index"
         return victim
-    lo = state.min_angle_item()
-    hi = state.max_angle_item()
+    lo = index.min_angle_item()
+    hi = index.max_angle_item()
     assert lo is not None and hi is not None, "full node with empty ladder"
     candidates = [lo, hi, incoming]
     return max(
@@ -153,7 +154,7 @@ def run_displacement_chain(
             return result
         victim = _pick_victim(system, current, incoming, policy)
         if victim.item_id != incoming.item_id:
-            system.evict_from(current, victim.item_id)
+            node.evict(victim.item_id)
             system.store_at(current, incoming)
         # else: incoming itself continues down the chain unstored.
         if budget is not None and budget <= 0:
@@ -463,10 +464,9 @@ def batch_publish(
                     "cascade placement requires the ANGLE policy and no "
                     "notification/admission hooks"
                 )
-            placed = False
             if engine:
                 with obs.metrics.timer("publish.cascade"):
-                    placed = cascade_placement(
+                    cascade_placement(
                         system,
                         items,
                         homes_l,
@@ -475,9 +475,7 @@ def batch_publish(
                         hop_budget=hop_budget,
                         norms=norms,
                     )
-            if not placed:
-                if engine:
-                    obs.metrics.counter("publish.cascade_fallback")
+            else:
                 timer = obs.metrics.timer
                 for k in range(n):  # original publish order: chain outcomes match the loop
                     with timer("publish.displace_chain"):

@@ -182,9 +182,9 @@ def retrieve(
         seen_items: set[int] = set()
 
         def harvest(node_id: int, hops_here: int) -> int:
-            state = system.state(node_id)
+            index = system.network.node(node_id).index
             remaining = None if amount is None else amount - len(result.discoveries)
-            hits = state.index.query(
+            hits = [] if index is None else index.query(
                 query, limit=remaining, require_all=require_all, min_score=min_score
             )
             fresh = 0
@@ -467,8 +467,8 @@ def retrieve_with_pointers(
         fetch_walk_limit = max_walk if max_walk is not None else max(patience, 4)
 
         def harvest_at(node_id: int, hops_here_of, limit_left) -> int:
-            state = system.state(node_id)
-            hits = state.index.query(
+            index = system.network.node(node_id).index
+            hits = [] if index is None else index.query(
                 query, limit=limit_left, require_all=require, min_score=min_score
             )
             fresh = 0

@@ -93,6 +93,16 @@ def _sequential(
     ]
 
 
+def _rank_at(node, groups: list, require_all, min_score: float) -> list[list]:
+    """Every group's full ranking at one node, scored in one pass on the
+    node's item store (a node that never stored anything ranks nothing)."""
+    if node.index is None:
+        return [[] for _ in groups]
+    return node.index.query_many(
+        [g.query for g in groups], require_all=require_all, min_score=min_score
+    )
+
+
 def _harvest(
     g: _Group,
     ranked: list,
@@ -241,10 +251,8 @@ def retrieve_many(
             #       queries through the shared walk order in waves ------
             with metrics.timer("kernel.walk"):
                 for home, hgroups in by_home.items():
-                    index = system.state(home).index
-                    rankings = index.query_many(
-                        [g.query for g in hgroups],
-                        require_all=require_all, min_score=min_score,
+                    rankings = _rank_at(
+                        network.node(home), hgroups, require_all, min_score
                     )
                     for g, ranked in zip(hgroups, rankings):
                         _harvest(g, ranked, home, g.result.route_hops, amount)
@@ -275,10 +283,8 @@ def retrieve_many(
                             g.walked += 1
                             g.result.walk_hops += 1
                             g.result.visited.append(neighbor)
-                        index = system.state(neighbor).index
-                        rankings = index.query_many(
-                            [g.query for g in walkers],
-                            require_all=require_all, min_score=min_score,
+                        rankings = _rank_at(
+                            network.node(neighbor), walkers, require_all, min_score
                         )
                         for g, ranked in zip(walkers, rankings):
                             fresh = _harvest(

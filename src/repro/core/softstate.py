@@ -115,9 +115,6 @@ class SoftStateManager:
         purged = 0
         for node in self.system.network.nodes():
             if node.has_item(item_id):
-                state = self.system._states.get(node.node_id)  # noqa: SLF001
-                if state is not None and item_id in state.index:
-                    state.remove(item_id)
                 node.evict(item_id)
                 purged += 1
         if self.system.replication is not None:

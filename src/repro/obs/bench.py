@@ -130,7 +130,7 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         overlay.route(o, k)
 
     idx_rng = np.random.default_rng(1)
-    idx = LocalVsmIndex(4000)
+    idx = LocalVsmIndex()
     for i in range(400):
         kws = np.sort(idx_rng.choice(4000, size=40, replace=False)).astype(np.int64)
         idx.add(StoredItem(i, 0, 0, kws, idx_rng.uniform(0.5, 3.0, 40)))
@@ -421,8 +421,8 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "local_index_query": lambda: idx.query(q, 20),
         "local_index_query_many": lambda: idx.query_many(many_qs, 20),
         "local_index_score_many": lambda: idx.score_many(many_qs),
-        "local_index_add": (lambda: LocalVsmIndex(4000), index_add_all),
-        "local_index_add_many": (lambda: LocalVsmIndex(4000), index_add_many),
+        "local_index_add": (lambda: LocalVsmIndex(), index_add_all),
+        "local_index_add_many": (lambda: LocalVsmIndex(), index_add_many),
         "walk_frontier": walk_frontier,
         "retrieve_batch": retrieve_batched,
         "retrieve_per_query": retrieve_sequential,

@@ -111,15 +111,15 @@ def graceful_leave(overlay: Overlay, node_id: int) -> int:
     node = overlay.node(node_id)
     neighbor_id = overlay.closest_neighbor(node_id, alive_only=True)
     moved = 0
-    if neighbor_id is not None:
-        neighbor = overlay.node(neighbor_id)
-        for item in list(node.items()):
-            node.evict(item.item_id)
-            # Hand-off ignores capacity: a departing node's neighbor
-            # temporarily over-commits rather than lose data (the
-            # displacement chain will thin it out on the next publish).
-            neighbor._items[item.item_id] = item  # noqa: SLF001 - deliberate over-commit
-            overlay.network.sink.charge("leave-transfer")
-            moved += 1
+    if neighbor_id is not None and len(node):
+        ids = list(node.item_ids())
+        norms = node.index.norms_of_many(ids)
+        items = node.evict_many(ids)
+        # Hand-off ignores capacity: a departing node's neighbor
+        # temporarily over-commits rather than lose data (the
+        # displacement chain will thin it out on the next publish).
+        overlay.node(neighbor_id)._index().add_many(items, norms)  # noqa: SLF001 - deliberate over-commit
+        moved = len(items)
+        overlay.network.sink.charge("leave-transfer", moved)
     overlay.remove_node(node_id)
     return moved

@@ -7,14 +7,23 @@ is decided by :mod:`repro.core.publish`, which owns the Meteorograph
 semantics.  This keeps the node reusable under every scheme the
 evaluation compares (None / UnusedHash / +HotRegions / directory
 pointers / replication).
+
+The node's items live in exactly one place: its columnar
+:class:`~repro.vsm.index.LocalVsmIndex` (Fig. 2: "adopt VSM or LSI for
+local indexing"), created on the first store.  Every storage accessor
+below reads or writes that index, and the search, publish and cascade
+engines score and pick victims on ``node.index`` directly — there is no
+second copy to keep in step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from ..vsm.index import LocalVsmIndex
 
 __all__ = ["StoredItem", "DirectoryPointer", "PeerNode", "CapacityError"]
 
@@ -103,41 +112,52 @@ class PeerNode:
         self.capacity = capacity
         self.service_rate = service_rate
         self.alive = True
-        self._items: dict[int, StoredItem] = {}
+        #: The node's item store, created on the first store.
+        self.index: Optional[LocalVsmIndex] = None
         self._pointers: dict[int, DirectoryPointer] = {}
 
     # -- storage ---------------------------------------------------------
 
+    def _index(self) -> LocalVsmIndex:
+        index = self.index
+        if index is None:
+            index = self.index = LocalVsmIndex()
+        return index
+
     def __len__(self) -> int:
-        return len(self._items)
+        index = self.index
+        return 0 if index is None else len(index)
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and len(self) >= self.capacity
 
     @property
     def free_slots(self) -> Optional[int]:
         if self.capacity is None:
             return None
-        return self.capacity - len(self._items)
+        return self.capacity - len(self)
 
     def utilization(self, c_ideal: float) -> float:
         """Load as a multiple of the ideal per-node load ``c`` (Fig. 8 x-axis)."""
         if c_ideal <= 0:
             raise ValueError(f"c_ideal must be > 0, got {c_ideal}")
-        return len(self._items) / c_ideal
+        return len(self) / c_ideal
 
     def has_item(self, item_id: int) -> bool:
-        return item_id in self._items
+        index = self.index
+        return index is not None and item_id in index
 
     def get_item(self, item_id: int) -> StoredItem:
-        return self._items[item_id]
+        if self.index is None:
+            raise KeyError(item_id)
+        return self.index.item(item_id)
 
     def items(self) -> Iterator[StoredItem]:
-        return iter(self._items.values())
+        return iter(()) if self.index is None else self.index.items()
 
     def item_ids(self) -> Iterator[int]:
-        return iter(self._items.keys())
+        return iter(()) if self.index is None else self.index.item_ids()
 
     def store(self, item: StoredItem) -> None:
         """Store an item; refuses when full (caller must displace first).
@@ -145,45 +165,52 @@ class PeerNode:
         Re-storing an item id the node already holds (a republish) is
         always allowed and replaces the old copy in place.
         """
-        if item.item_id not in self._items and self.is_full:
+        if self.is_full and not self.has_item(item.item_id):
             raise CapacityError(
                 f"node {self.node_id} full ({self.capacity}); displace before storing"
             )
-        self._items[item.item_id] = item
+        self._index().add(item)
 
-    def store_many(self, items: Iterable[StoredItem]) -> None:
-        """Bulk :meth:`store`; same per-item capacity semantics.
+    def store_many(
+        self,
+        items: Sequence[StoredItem],
+        norms: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Bulk :meth:`store`: one columnar block append.
 
-        Unbounded nodes (the Fig. 7/8 infinite-storage configuration)
-        take the whole run in one dict update; bounded nodes fall back
-        to per-item stores so the capacity check fires at exactly the
-        same point it would have sequentially.
+        End state equals storing the items one at a time in list order.
+        A bounded node checks its capacity for the whole run up front
+        and refuses it unchanged if it does not fit.  ``norms``
+        optionally parallels ``items`` with precomputed Euclidean norms
+        (see ``LocalVsmIndex.add_many``).
         """
-        if self.capacity is None:
-            self._items.update((item.item_id, item) for item in items)
-            return
-        for item in items:
-            self.store(item)
+        if self.capacity is not None:
+            index = self.index
+            fresh = {
+                it.item_id for it in items if index is None or it.item_id not in index
+            }
+            if len(self) + len(fresh) > self.capacity:
+                raise CapacityError(
+                    f"node {self.node_id} full ({self.capacity}); "
+                    f"{len(fresh)} new items do not fit"
+                )
+        self._index().add_many(items, norms)
 
     def evict(self, item_id: int) -> StoredItem:
         """Remove and return an item."""
-        try:
-            return self._items.pop(item_id)
-        except KeyError:
-            raise KeyError(f"node {self.node_id} does not hold item {item_id}") from None
+        if not self.has_item(item_id):
+            raise KeyError(f"node {self.node_id} does not hold item {item_id}")
+        return self.index.remove(item_id)
 
-    def evict_many(self, item_ids: Iterable[int]) -> list[StoredItem]:
-        """Bulk :meth:`evict`; raises on the first id not held."""
-        pop = self._items.pop
-        out = []
-        try:
-            for iid in item_ids:
-                out.append(pop(iid))
-        except KeyError:
-            raise KeyError(
-                f"node {self.node_id} does not hold item {iid}"
-            ) from None
-        return out
+    def evict_many(self, item_ids: Sequence[int]) -> list[StoredItem]:
+        """Bulk :meth:`evict`.  An id the node does not hold raises
+        ``KeyError`` before anything is removed; duplicates are removed
+        once."""
+        if self.index is None:
+            if item_ids:
+                raise KeyError(f"node {self.node_id} does not hold item {item_ids[0]}")
+            return []
+        return self.index.remove_many(item_ids)
 
     # -- directory pointers (§3.5.2) --------------------------------------
 
@@ -212,6 +239,6 @@ class PeerNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)
         return (
-            f"PeerNode(id={self.node_id}, items={len(self._items)}, "
+            f"PeerNode(id={self.node_id}, items={len(self)}, "
             f"cap={cap}, alive={self.alive})"
         )

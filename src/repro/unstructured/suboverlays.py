@@ -72,7 +72,7 @@ class SubOverlayDirectory:
         # keyword -> node ring (lazy) and keyword -> item ids
         self._rings: dict[int, SortedKeyRing] = {}
         self._members: dict[int, set[int]] = {}
-        self._items_by_keyword: dict[int, set[int]] = {}
+        self._by_keyword: dict[int, set[int]] = {}
         self._item_keywords: dict[int, np.ndarray] = {}
 
     # -- publishing ------------------------------------------------------------
@@ -90,7 +90,7 @@ class SubOverlayDirectory:
         self._item_keywords[item_id] = kws
         for k in kws:
             k = int(k)
-            self._items_by_keyword.setdefault(k, set()).add(item_id)
+            self._by_keyword.setdefault(k, set()).add(item_id)
             member = int(self.node_ids[int(rng.integers(0, self.n_nodes))])
             ring = self._rings.get(k)
             if ring is None:
@@ -106,7 +106,7 @@ class SubOverlayDirectory:
 
     def copies_stored(self) -> int:
         """Total stored copies across all sub-overlays (duplication)."""
-        return sum(len(s) for s in self._items_by_keyword.values())
+        return sum(len(s) for s in self._by_keyword.values())
 
     def maintenance_load(self) -> dict[int, int]:
         """node id → number of sub-overlays it must maintain state for."""
@@ -130,7 +130,7 @@ class SubOverlayDirectory:
         transferred = 0
         partials: list[set[int]] = []
         for k in kws:
-            items = self._items_by_keyword.get(k, set())
+            items = self._by_keyword.get(k, set())
             ring = self._rings.get(k)
             ring_size = len(ring) if ring is not None else 0
             hops = max(1, int(np.ceil(np.log2(ring_size)))) if ring_size > 1 else (1 if ring_size else 0)

@@ -4,7 +4,9 @@ When a retrieve reaches a node, the node must answer "which of my
 stored items are most relevant to this query?"  :class:`LocalVsmIndex`
 implements the plain vector-space answer: cosine ranking, optional
 exact keyword filtering, and the *least-similar* selection that drives
-the publish-side replacement policy.
+the publish-side replacement policy.  It is also the node's only item
+store: each :class:`~repro.sim.node.PeerNode` creates one on its first
+store and reads and writes its items through it.
 
 The store is **columnar** (structure-of-arrays): item ids, angle keys
 and norms live in parallel numpy arrays, and every item's keyword/weight
@@ -18,8 +20,9 @@ per-item specialisations with identical end states.  Removal tombstones
 a row (O(1)); the arrays compact once dead rows outnumber live ones, so
 every operation is amortised O(changed data), never O(index).
 
-Scoring scatters the query into a dense dim-sized scratch, gathers it
-along the flat keyword array and segment-sums per row with
+Scoring scatters the query into a dense scratch sized by the query's
+``dim`` (grown on demand, so an index needs no dimension up front),
+gathers it along the flat keyword array and segment-sums per row with
 ``np.add.reduceat`` — items sharing no keyword with the query score an
 exact 0 and are filtered out, which is exactly what the old
 per-candidate inverted-map walk produced.  The same kernel serves
@@ -42,12 +45,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..sim.node import StoredItem
 from .sparse import SparseVector
+
+if TYPE_CHECKING:  # pragma: no cover - sim.node owns an index per node
+    from ..sim.node import StoredItem
 
 __all__ = ["LocalVsmIndex", "ScoredItem"]
 
@@ -88,11 +93,9 @@ def _range_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class LocalVsmIndex:
     """Columnar VSM index over one node's stored items."""
 
-    def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        #: live item id → row slot.
+    def __init__(self) -> None:
+        #: live item id → row slot, in first-insertion order (a re-add
+        #: keeps its position, exactly like a dict store).
         self._slots: dict[int, int] = {}
         #: row slot → StoredItem (None once tombstoned).
         self._item_objs: list[Optional[StoredItem]] = []
@@ -110,7 +113,8 @@ class LocalVsmIndex:
         self._nnz = 0  # used flat entries, garbage included
         self._dead_rows = 0
         self._dead_nnz = 0
-        #: Reusable dim-sized dense scratch for query scatter/gather.
+        #: Reusable dense scratch for query scatter/gather, sized by the
+        #: largest query ``dim`` seen.
         self._scratch: Optional[np.ndarray] = None
         # -- lazy derived views (None = rebuild on next use) --
         #: (scorable slots, interleaved reduceat offsets).
@@ -328,7 +332,7 @@ class LocalVsmIndex:
 
     def rebuild(self, items: Iterable[StoredItem]) -> None:
         """Reset the index to exactly the given items."""
-        self.__init__(self.dim)
+        self.__init__()
         self.add_many(list(items))
 
     def _maybe_compact(self) -> None:
@@ -368,8 +372,10 @@ class LocalVsmIndex:
         wt = np.empty(nnz_cap, dtype=np.float64)
         wt[:total] = self._wt_flat[gi]
         objs = self._item_objs
-        self._item_objs = [objs[s] for s in sel.tolist()]
-        self._slots = {int(i): j for j, i in enumerate(ids[:n].tolist())}
+        sel_l = sel.tolist()
+        self._item_objs = [objs[s] for s in sel_l]
+        new_slot = dict(zip(sel_l, range(n)))
+        self._slots = {iid: new_slot[s] for iid, s in self._slots.items()}
         self._ids, self._angle_keys, self._norms = ids, angles, norms
         self._alive, self._starts, self._lengths = alive, starts, lengths
         self._kw_flat, self._wt_flat = kw, wt
@@ -386,10 +392,27 @@ class LocalVsmIndex:
         """The stored item for ``item_id`` (KeyError if absent)."""
         return self._item_objs[self._slots[item_id]]
 
+    def item_ids(self) -> Iterator[int]:
+        """Stored item ids, in first-insertion order."""
+        return iter(self._slots)
+
+    def items(self) -> Iterator[StoredItem]:
+        """Stored items, in first-insertion order."""
+        objs = self._item_objs
+        return (objs[slot] for slot in self._slots.values())
+
     def items_by_id(self) -> dict[int, StoredItem]:
         """A copy of the id → item map (shadow-state seeding)."""
         objs = self._item_objs
         return {iid: objs[slot] for iid, slot in self._slots.items()}
+
+    def snapshot(self) -> tuple[list[tuple[int, int]], dict[int, StoredItem]]:
+        """(ladder copy, id → item copy) for cascade shadow seeding.
+
+        The copies are independent of the index: the cascade engine
+        mutates them freely and writes net diffs back through the
+        owning node's bulk evict/store."""
+        return list(self.angle_ladder()), self.items_by_id()
 
     def norm_of(self, item_id: int) -> float:
         """The indexed Euclidean norm of a stored item (KeyError if absent).
@@ -418,6 +441,16 @@ class LocalVsmIndex:
                 zip(aks[order].tolist(), ids[order].tolist())
             )
         return ladder
+
+    def min_angle_item(self) -> Optional[StoredItem]:
+        """The stored item with the smallest (angle key, id), or None."""
+        ladder = self.angle_ladder()
+        return self.item(ladder[0][1]) if ladder else None
+
+    def max_angle_item(self) -> Optional[StoredItem]:
+        """The stored item with the largest (angle key, id), or None."""
+        ladder = self.angle_ladder()
+        return self.item(ladder[-1][1]) if ladder else None
 
     # -- scoring ------------------------------------------------------------
 
@@ -466,7 +499,7 @@ class LocalVsmIndex:
     ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """One vectorised scoring pass — the shared scalar/batch kernel.
 
-        Scatters the query into the dense dim-sized scratch, gathers it
+        Scatters the query into the dense scratch, gathers it
         along the flat keyword column, and segment-sums per row with
         ``np.add.reduceat``.  Returns (scorable slots, their cosine
         scores); rows outside the view score an exact 0 by construction.
@@ -480,8 +513,8 @@ class LocalVsmIndex:
         if sel is None:
             return None, None
         scratch = self._scratch
-        if scratch is None:
-            scratch = self._scratch = np.zeros(self.dim, dtype=np.float64)
+        if scratch is None or scratch.size < query.dim:
+            scratch = self._scratch = np.zeros(query.dim, dtype=np.float64)
         p = self._nnz if end is None else end
         # One guard element keeps end offsets == p legal for reduceat.
         prods = np.empty(p + 1, dtype=np.float64)

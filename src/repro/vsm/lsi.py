@@ -9,14 +9,16 @@ plain VSM index for speed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..sim.node import StoredItem
 from .sparse import SparseVector
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..sim.node import StoredItem
 
 __all__ = ["LsiIndex"]
 
@@ -38,7 +40,7 @@ class LsiIndex:
         self.dim = dim
         self.rank = rank
         self._item_ids: list[int] = []
-        self._items: dict[int, StoredItem] = {}
+        self._by_id: dict[int, StoredItem] = {}
         self._doc_vecs: Optional[np.ndarray] = None  # (n_items, r) latent rows
         self._term_map: Optional[np.ndarray] = None  # (r, n_local_terms) projector
         self._local_terms: Optional[np.ndarray] = None  # global kw id per local col
@@ -50,7 +52,7 @@ class LsiIndex:
     def fit(self, items: Sequence[StoredItem]) -> None:
         """(Re)build the latent space from a snapshot of stored items."""
         self._item_ids = [it.item_id for it in items]
-        self._items = {it.item_id: it for it in items}
+        self._by_id = {it.item_id: it for it in items}
         if not items:
             self._doc_vecs = None
             self._term_map = None

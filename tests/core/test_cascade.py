@@ -3,8 +3,8 @@
 The placement/accounting equivalence property lives in
 ``test_batch_publish.py`` (TestCascadeEquivalence); this file pins the
 engine's contracts that the property cannot see: lazy frontier work,
-safe fallback on shadow divergence, observability parity, and shadow
-seeding from pre-populated nodes.
+seeding from items stored straight into a node, observability parity,
+and shadow seeding from pre-populated nodes.
 """
 
 import numpy as np
@@ -108,37 +108,44 @@ class TestCascadeSupport:
         assert not cascade_supported(system, ReplacementPolicy.ANGLE)
 
 
-class TestShadowFallback:
-    def test_state_divergence_aborts_without_mutation(self):
-        """A node whose storage was mutated behind NodeState's back makes
-        the engine bail before touching anything or charging messages."""
+class TestDirectNodeStore:
+    def test_item_stored_on_node_seeds_cascade_like_sequential(self):
+        """An item stored straight into a node (not through a publish)
+        is in the node's only item store, so the engine seeds from it and
+        places the batch exactly as the sequential loop does."""
+        trace = make_trace()
+        # Store into a node the batch fills: a dry run finds one.
+        dry = build_system(trace, capacity=5)
+        dry.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
+        home = max(dry.network.nodes(), key=len).node_id
+        assert dry.network.node(home).is_full
+        runs = {}
+        for cascade in (False, True):
+            system = build_system(trace, capacity=5)
+            system.network.node(home).store(make_item(10_000, 100))
+            results = system.publish_corpus(
+                trace.corpus, np.random.default_rng(3), batch=True, cascade=cascade
+            )
+            runs[cascade] = (
+                placements(system),
+                system.network.sink.snapshot(),
+                [(r.home, r.displacement_hops, r.dropped_item_id) for r in results],
+            )
+        assert runs[True] == runs[False]
+        assert runs[True][1].get("displace", 0) > 0  # the batch displaces
+
+    def test_engine_returns_filled_results(self):
         trace = make_trace()
         system = build_system(trace, capacity=4)
         home = next(iter(system.overlay.ring))
-        # Desync: item placed in node storage behind NodeState's back.
         system.network.node(home).store(make_item(1, 100))
-        before = placements(system)
-        sent_before = system.network.sink.total
-        items = [make_item(2, 101), make_item(3, 102)]
         results = [None, None]
-        ok = cascade_placement(
-            system, items, [home, home], [0, 0], results, hop_budget=None
+        placed = cascade_placement(
+            system, [make_item(2, 101), make_item(3, 102)], [home, home], [0, 0],
+            results,
         )
-        assert ok is False
-        assert placements(system) == before
-        assert system.network.sink.total == sent_before
-
-    def test_batch_publish_recovers_via_sequential(self):
-        """End to end: the auto branch silently reruns sequentially when
-        the engine falls back, producing a complete result set."""
-        trace = make_trace()
-        system = build_system(trace, capacity=5)
-        home = next(iter(system.overlay.ring))
-        # Desync behind NodeState's back → engine aborts, caller reruns.
-        system.network.node(home).store(make_item(10_000, 100))
-        results = system.publish_corpus(trace.corpus, np.random.default_rng(3))
-        assert len(results) == N_ITEMS
-        assert all(r is not None for r in results)
+        assert placed is results and all(r.success for r in results)
+        assert sorted(system.network.node(home).item_ids()) == [1, 2, 3]
 
 
 class TestObservabilityParity:
@@ -174,7 +181,6 @@ class TestObservabilityParity:
         c = cas.obs.metrics.counters
         assert c["publish.cascade_items"] == N_ITEMS
         assert c["publish.cascade_spills"] == c["net.sent.displace"]
-        assert "publish.cascade_fallback" not in c
         assert "publish.cascade" in cas.obs.metrics.timers
 
     def test_fallback_counter_on_cosine(self):
@@ -186,10 +192,10 @@ class TestObservabilityParity:
             replacement_policy=ReplacementPolicy.COSINE,
         )
         system.publish_corpus(trace.corpus, np.random.default_rng(3), batch=True)
-        # COSINE never enters the engine, so no fallback counter either —
-        # the counter marks an *attempted* cascade that bailed.
-        assert "publish.cascade_fallback" not in system.obs.metrics.counters
+        # COSINE falls back by configuration: the engine never runs.
         assert "publish.cascade_items" not in system.obs.metrics.counters
+        assert "publish.cascade" not in system.obs.metrics.timers
+        assert "publish.displace_chain" in system.obs.metrics.timers
 
 
 class TestPrePopulatedSeeding:
@@ -219,10 +225,8 @@ class TestPrePopulatedSeeding:
         # norm bookkeeping didn't lose or fabricate entries).
         for sys_ in (seq_sys, cas_sys):
             for node in sys_.network.nodes():
-                state = sys_._states.get(node.node_id)
                 for iid in node.item_ids():
-                    assert state is not None
-                    state.index.norm_of(iid)  # must not raise
+                    node.index.norm_of(iid)  # must not raise
 
     def test_retrieve_after_cascade_matches_sequential(self):
         """The reconciled inverted indexes answer queries identically."""

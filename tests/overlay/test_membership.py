@@ -123,3 +123,4 @@ class TestGracefulLeave:
         moved = graceful_leave(ov, 100)
         assert moved == 1
         assert len(ov.node(200)) == 2  # over-committed, not lost
+        assert 1 in ov.node(200).index  # written through the node's store

@@ -80,6 +80,28 @@ class TestCapacity:
             node.utilization(0.0)
 
 
+    def test_store_many_refuses_run_that_does_not_fit(self):
+        node = PeerNode(5, capacity=3)
+        node.store(make_item(1))
+        with pytest.raises(CapacityError):
+            node.store_many([make_item(2), make_item(3), make_item(4)])
+        assert list(node.item_ids()) == [1]  # refused whole, not partly
+        node.store_many([make_item(1, key=9), make_item(2), make_item(3)])
+        assert list(node.item_ids()) == [1, 2, 3]
+        assert node.get_item(1).publish_key == 9
+
+    def test_evict_many_checks_every_id_first(self):
+        node = PeerNode(5)
+        node.store_many([make_item(1), make_item(2)])
+        with pytest.raises(KeyError):
+            node.evict_many([1, 99])
+        assert len(node) == 2
+        assert [it.item_id for it in node.evict_many([2, 1, 2])] == [2, 1]
+        assert len(node) == 0
+        with pytest.raises(KeyError):
+            PeerNode(6).evict_many([1])
+
+
 class TestAccessors:
     def test_has_get_items(self):
         node = PeerNode(5)
@@ -89,6 +111,17 @@ class TestAccessors:
         assert node.get_item(7).item_id == 7
         assert [i.item_id for i in node.items()] == [7]
         assert list(node.item_ids()) == [7]
+
+    def test_index_is_the_item_store(self):
+        node = PeerNode(5)
+        assert node.index is None and len(node) == 0
+        assert list(node.items()) == [] and not node.has_item(7)
+        with pytest.raises(KeyError):
+            node.get_item(7)
+        node.store(make_item(7))
+        assert 7 in node.index and node.index.item(7) is node.get_item(7)
+        node.evict(7)
+        assert 7 not in node.index
 
 
 class TestPointers:

@@ -5,15 +5,17 @@ The columnar re-platform (DESIGN.md, "Columnar node state") changed the
 that claim:
 
 * randomized add / remove / re-add / query interleavings must match a
-  plain dict oracle on rankings, ladder extremes and ``snapshot()``
-  contents — across scalar ops, bulk ops, and the tombstone-compaction
-  cycles the interleavings trigger;
+  plain dict oracle on rankings, ladder extremes, ``snapshot()``
+  contents and item iteration order (the index is the node's only item
+  store, so it must iterate like the dict store it replaced) — across
+  scalar ops, bulk ops, and the tombstone-compaction cycles the
+  interleavings trigger;
 * ``least_similar`` (the COSINE replacement-victim rule) must agree with
   the victim derived from the batch ``score_many`` matrix — scalar and
   batch paths run one kernel, so the pick is identical, not just close;
 * regression: a query that raises mid-kernel must not leave the shared
   dense scratch dirty (every later score on the node would be wrong);
-* regression: ``NodeState.remove_many`` with duplicate ids must remove
+* regression: ``LocalVsmIndex.remove_many`` with duplicate ids must remove
   each id once instead of raising ``KeyError`` mid-sweep, and an unknown
   id must fail *before* any mutation.
 """
@@ -23,7 +25,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.meteorograph import NodeState
 from repro.sim.node import StoredItem
 from repro.vsm.index import LocalVsmIndex
 from repro.vsm.sparse import SparseVector
@@ -78,7 +79,7 @@ class TestRandomizedOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_interleaved_mutations_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        state = NodeState(DIM)
+        idx = LocalVsmIndex()
         oracle: dict[int, StoredItem] = {}
         next_id = 0
         for step in range(120):
@@ -86,7 +87,7 @@ class TestRandomizedOracle:
             if op < 0.35 or not oracle:
                 it = rand_item(rng, next_id)
                 next_id += 1
-                state.add(it)
+                idx.add(it)
                 oracle[it.item_id] = it
             elif op < 0.50:
                 # Bulk add with an intra-batch duplicate id now and then.
@@ -96,33 +97,34 @@ class TestRandomizedOracle:
                 if n >= 3 and rng.random() < 0.5:
                     dup = rand_item(rng, batch[0].item_id)
                     batch.append(dup)
-                state.add_many(batch)
+                idx.add_many(batch)
                 for it in batch:
                     oracle[it.item_id] = it
             elif op < 0.65:
                 # Re-add an existing id with fresh content.
                 iid = int(rng.choice(sorted(oracle)))
                 it = rand_item(rng, iid)
-                state.add(it)
+                idx.add(it)
                 oracle[iid] = it
             elif op < 0.80:
                 iid = int(rng.choice(sorted(oracle)))
-                removed = state.remove(iid)
+                removed = idx.remove(iid)
                 assert removed is oracle.pop(iid)
             else:
                 n = min(len(oracle), int(rng.integers(1, 6)))
                 ids = rng.choice(sorted(oracle), size=n, replace=False).tolist()
-                state.remove_many([int(i) for i in ids])
+                idx.remove_many([int(i) for i in ids])
                 for iid in ids:
                     del oracle[int(iid)]
 
             if step % 10 == 9:
-                self.check_state(state, oracle, rng)
-        self.check_state(state, oracle, rng)
+                self.check_state(idx, oracle, rng)
+        self.check_state(idx, oracle, rng)
 
-    def check_state(self, state, oracle, rng):
-        index = state.index
+    def check_state(self, index, oracle, rng):
         assert len(index) == len(oracle)
+        assert list(index.item_ids()) == list(oracle)
+        assert [it.item_id for it in index.items()] == list(oracle)
         # Rankings (scalar query + batch query_many share one kernel).
         queries = [rand_query(rng) for _ in range(3)]
         batch = index.query_many(queries)
@@ -132,27 +134,27 @@ class TestRandomizedOracle:
             scalar = [(h.item.item_id, h.score) for h in index.query(q)]
             assert scalar == got
         # Ladder extremes and snapshot contents.
-        ladder, items = state.snapshot()
+        ladder, items = index.snapshot()
         assert items == oracle
         expect_ladder = sorted((it.angle_key, iid) for iid, it in oracle.items())
         assert ladder == expect_ladder
         if oracle:
-            assert state.min_angle_item() is oracle[expect_ladder[0][1]]
-            assert state.max_angle_item() is oracle[expect_ladder[-1][1]]
+            assert index.min_angle_item() is oracle[expect_ladder[0][1]]
+            assert index.max_angle_item() is oracle[expect_ladder[-1][1]]
         else:
-            assert state.min_angle_item() is None
-            assert state.max_angle_item() is None
+            assert index.min_angle_item() is None
+            assert index.max_angle_item() is None
 
     def test_compaction_preserves_contents(self):
         rng = np.random.default_rng(42)
-        state = NodeState(DIM)
+        idx = LocalVsmIndex()
         items = [rand_item(rng, i) for i in range(120)]
-        state.add_many(items)
+        idx.add_many(items)
         survivors = {it.item_id: it for it in items if it.item_id % 5 == 0}
-        state.remove_many([it.item_id for it in items if it.item_id % 5])
+        idx.remove_many([it.item_id for it in items if it.item_id % 5])
         # 96 tombstones against 24 live rows — compaction must have run.
-        assert state.index._rows == len(survivors)  # noqa: SLF001
-        self.check_state(state, survivors, rng)
+        assert idx._rows == len(survivors)  # noqa: SLF001
+        self.check_state(idx, survivors, rng)
 
 
 class TestVictimKernelAgreement:
@@ -162,7 +164,7 @@ class TestVictimKernelAgreement:
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_scalar_and_batch_agree(self, seed):
         rng = np.random.default_rng(seed)
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         for i in range(60):
             idx.add(rand_item(rng, i))
         queries = [rand_query(rng) for _ in range(20)]
@@ -175,7 +177,7 @@ class TestVictimKernelAgreement:
     def test_agreement_with_zero_score_items(self):
         # Items sharing no keyword with the query score an exact 0 and
         # are the most eligible victims; ties break on ascending id.
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(make_item(7, {0: 1.0}))
         idx.add(make_item(3, {9: 1.0}))
         idx.add(make_item(5, {9: 2.0}))
@@ -186,7 +188,7 @@ class TestVictimKernelAgreement:
 
     def test_scores_match_query_path(self):
         rng = np.random.default_rng(13)
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         for i in range(40):
             idx.add(rand_item(rng, i))
         queries = [rand_query(rng) for _ in range(8)]
@@ -202,7 +204,7 @@ class TestScratchCleanup:
     dense scratch dirty (it would corrupt every later score)."""
 
     def test_failed_query_does_not_corrupt_later_scores(self, monkeypatch):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(make_item(1, {0: 1.0, 3: 2.0}))
         idx.add(make_item(2, {0: 2.0, 5: 1.0}))
         q_fail = SparseVector.from_mapping({0: 9.0, 3: 9.0}, DIM)
@@ -222,7 +224,7 @@ class TestScratchCleanup:
         assert got == expect
 
     def test_scratch_zeroed_after_failure(self):
-        idx = LocalVsmIndex(DIM)
+        idx = LocalVsmIndex()
         idx.add(
             StoredItem(
                 1,
@@ -242,33 +244,32 @@ class TestRemoveManyDuplicates:
     rejected before any mutation."""
 
     def build(self):
-        state = NodeState(DIM)
-        state.add(make_item(1, {0: 1.0}, angle_key=10))
-        state.add(make_item(2, {1: 1.0}, angle_key=20))
-        state.add(make_item(3, {2: 1.0}, angle_key=30))
-        return state
+        idx = LocalVsmIndex()
+        idx.add(make_item(1, {0: 1.0}, angle_key=10))
+        idx.add(make_item(2, {1: 1.0}, angle_key=20))
+        idx.add(make_item(3, {2: 1.0}, angle_key=30))
+        return idx
 
     def test_duplicate_ids_removed_once(self):
-        state = self.build()
-        out = state.remove_many([1, 2, 1, 1])
+        idx = self.build()
+        out = idx.remove_many([1, 2, 1, 1])
         assert [it.item_id for it in out] == [1, 2]
-        ladder, items = state.snapshot()
+        ladder, items = idx.snapshot()
         assert sorted(items) == [3]
         assert ladder == [(30, 3)]
-        assert state.min_angle_item().item_id == 3
+        assert idx.min_angle_item().item_id == 3
 
     def test_unknown_id_fails_before_mutation(self):
-        state = self.build()
+        idx = self.build()
         with pytest.raises(KeyError):
-            state.remove_many([1, 99])
-        ladder, items = state.snapshot()
+            idx.remove_many([1, 99])
+        ladder, items = idx.snapshot()
         assert sorted(items) == [1, 2, 3]
         assert ladder == [(10, 1), (20, 2), (30, 3)]
 
     def test_empty_and_index_level_dedupe(self):
-        state = self.build()
-        assert state.remove_many([]) == []
-        idx = state.index
+        idx = self.build()
+        assert idx.remove_many([]) == []
         assert [it.item_id for it in idx.remove_many([3, 3])] == [3]
         assert 3 not in idx
 
@@ -280,23 +281,23 @@ class TestBulkScalarEquivalence:
     def test_add_many_matches_scalar_loop(self, seed):
         rng = np.random.default_rng(seed)
         items = [rand_item(rng, i % 15) for i in range(40)]  # heavy dup load
-        bulk = NodeState(DIM)
+        bulk = LocalVsmIndex()
         bulk.add_many(items)
-        scalar = NodeState(DIM)
+        scalar = LocalVsmIndex()
         for it in items:
             scalar.add(it)
         assert bulk.snapshot() == scalar.snapshot()
         q = rand_query(rng)
         pairs = lambda hits: [(h.item.item_id, h.score) for h in hits]  # noqa: E731
-        assert pairs(bulk.index.query(q)) == pairs(scalar.index.query(q))
+        assert pairs(bulk.query(q)) == pairs(scalar.query(q))
 
     def test_add_many_precomputed_norms_match(self):
         rng = np.random.default_rng(22)
         items = [rand_item(rng, i) for i in range(10)]
         norms = [math.sqrt(it.weights.dot(it.weights)) for it in items]
-        with_norms = LocalVsmIndex(DIM)
+        with_norms = LocalVsmIndex()
         with_norms.add_many(items, norms)
-        without = LocalVsmIndex(DIM)
+        without = LocalVsmIndex()
         without.add_many(items)
         q = rand_query(rng)
         pairs = lambda hits: [(h.item.item_id, h.score) for h in hits]  # noqa: E731

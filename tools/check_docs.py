@@ -11,13 +11,15 @@ Also verifies that every committed ``results/<id>.csv`` whose id is in
 the registry is indexed by ``results/manifest.json``, so the artifact
 directory stays discoverable.
 
-Three taxonomy checks keep OBSERVABILITY.md honest the same way: every
+Four taxonomy checks keep OBSERVABILITY.md honest the same way: every
 bench kernel registered in ``repro.obs.bench._LOOPS`` must be named in
 the doc (the BENCH workflow section documents each kernel's workload),
 every ``lsh.*`` instrument the LSH subsystem emits must appear in the
 instrument table, and so must every ``linkfault.*`` /
 ``maint.antientropy.*`` instrument of the message-plane fault
-subsystem.
+subsystem.  The ``publish.*`` check runs both ways: every name the
+package emits must be in an instrument-table row, and every name a row
+documents must still be emitted somewhere under ``src/repro``.
 
 Run as ``python tools/check_docs.py`` from the repo root (CI does;
 ``repro`` must be importable — ``pip install -e .`` or
@@ -35,6 +37,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: ``**X-BUILD (`buildscale`).**`` → ``buildscale``
 _ENTRY = re.compile(r"\*\*[^*\n]+\(`([a-z0-9_]+)`\)\.?\*\*")
+#: A ``publish.*`` instrument name as a string literal in the package.
+_PUBLISH_EMITTED = re.compile(r"[\"'](publish\.[a-z_]+(?:\.[a-z_]+)*)[\"']")
+#: A ``publish.*`` name in backticks in the first cell of a table row.
+_PUBLISH_DOCUMENTED = re.compile(r"`(publish\.[a-z_]+(?:\.[a-z_]+)*)`")
+
+
+def publish_instruments(obs_text: str) -> tuple[set[str], set[str]]:
+    """(names emitted under ``src/repro``, names the instrument table
+    documents) for the ``publish.*`` family."""
+    emitted: set[str] = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        emitted.update(_PUBLISH_EMITTED.findall(path.read_text()))
+    documented: set[str] = set()
+    for line in obs_text.splitlines():
+        if line.startswith("|"):
+            first_cell = line.split("|")[1]
+            documented.update(_PUBLISH_DOCUMENTED.findall(first_cell))
+    return emitted, documented
 
 
 def main() -> int:
@@ -105,6 +125,18 @@ def main() -> int:
                 f"chaos instrument `{name}` is emitted by the message-plane "
                 "fault subsystem but not documented in OBSERVABILITY.md"
             )
+
+    emitted, documented = publish_instruments(obs_text)
+    for name in sorted(emitted - documented):
+        failed.append(
+            f"publish instrument `{name}` is emitted by repro but not "
+            "documented in OBSERVABILITY.md"
+        )
+    for name in sorted(documented - emitted):
+        failed.append(
+            f"OBSERVABILITY.md documents publish instrument `{name}` but "
+            "nothing in repro emits it"
+        )
 
     manifest_path = ROOT / "results" / "manifest.json"
     if manifest_path.exists():
