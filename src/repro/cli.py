@@ -322,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=512,
         help="row-chunk size for the streaming angle pass",
     )
-    build.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for the chunked pass (0 = serial)",
-    )
     build.add_argument("--seed", type=int, default=19980724, help="run RNG seed")
     build.add_argument(
         "--check",
@@ -878,13 +872,9 @@ def _cmd_build(args) -> int:
     )
     corpus = trace.corpus
     t1 = time.perf_counter()
-    whole = absolute_angles(corpus)
+    whole = absolute_angles(corpus, chunk_rows=corpus.n_items)
     t2 = time.perf_counter()
-    chunked = absolute_angles(
-        corpus,
-        chunk_rows=args.chunk_rows,
-        workers=args.workers if args.workers > 1 else None,
-    )
+    chunked = absolute_angles(corpus, chunk_rows=args.chunk_rows)
     t3 = time.perf_counter()
     keys_identical = bool(np.array_equal(whole, chunked))
 
@@ -927,7 +917,7 @@ def _cmd_build(args) -> int:
     elapsed = time.perf_counter() - t0
     print(
         f"[build] items {args.items}, nodes {args.nodes}, cap {capacity} "
-        f"(~4c/3), chunk_rows {args.chunk_rows}, workers {args.workers}"
+        f"(~4c/3), chunk_rows {args.chunk_rows}"
     )
     print(
         f"keys:    whole {1e3 * (t2 - t1):.1f} ms, chunked "

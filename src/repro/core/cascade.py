@@ -32,9 +32,10 @@ net result to the node stores once at the end:
 The engine falls back to the sequential loop only by configuration
 (:func:`cascade_supported`): it handles the ``ANGLE`` policy (victims
 are ladder extremes), while ``COSINE`` scans whole indexes and
-configurations with notification or admission hooks observe per-event
-side effects.  A node's index is its only item store, so shadows seed
-from the one copy there is and cannot disagree with it.
+configurations with notification or admission hooks or a link-fault
+plane observe per-event side effects.  A node's index is its only item
+store, so shadows seed from the one copy there is and cannot disagree
+with it.
 
 The same batching discipline — share the expensive sweep, replay exact
 per-item accounting, fall back sequentially when a configuration
@@ -81,7 +82,9 @@ def cascade_supported(system: "Meteorograph", policy) -> bool:
     The engine is exact only for ``ANGLE`` victim selection, and it
     defers all real side effects to one reconcile pass — so anything
     that observes per-event effects (notification service, admission
-    metering of displace traffic) forces the sequential branch.
+    metering of displace traffic, a link-fault plane dropping or
+    duplicating individual displace messages) forces the sequential
+    branch.
     """
     from .publish import ReplacementPolicy
 
@@ -89,6 +92,7 @@ def cascade_supported(system: "Meteorograph", policy) -> bool:
         policy is ReplacementPolicy.ANGLE
         and system.notifications is None
         and system.network.admission is None
+        and system.network.link_faults is None
     )
 
 
@@ -174,10 +178,16 @@ def cascade_placement(
             else:
                 victim = smap[v_id]
             if victim.item_id != i_id:
-                # Swap: evict the victim, admit the incoming item.
+                # Swap: evict the victim, admit the incoming item (which
+                # replaces a held copy of its id, as store_at does —
+                # multi-key schemes route an item's L copies apart, but
+                # displacement can bring two of them together).
                 del smap[v_id]
                 j = bisect_left(ladder, (victim.angle_key, v_id))
                 del ladder[j]
+                old = smap.get(i_id)
+                if old is not None:
+                    del ladder[bisect_left(ladder, (old.angle_key, i_id))]
                 smap[i_id] = incoming
                 insort(ladder, (ak, i_id))
             if budget is not None and budget <= 0:
@@ -221,11 +231,14 @@ def cascade_placement(
 
     _reconcile(system, shadows, items, norms)
     # Accounting: one displace message per chain hop, charged in bulk —
-    # the same total Network.send would have billed hop by hop.
-    network.sink.charge("displace", total_hops)
+    # the same total Network.send would have billed hop by hop (nothing
+    # at all when no chain hopped, so no zero-valued bill key appears).
+    if total_hops:
+        network.sink.charge("displace", total_hops)
     metrics = obs.metrics
     if obs_on:
-        metrics.counter("net.sent.displace", total_hops)
+        if total_hops:
+            metrics.counter("net.sent.displace", total_hops)
         for dst, cnt in inbox.items():
             metrics.bucket("net.node_inbox", dst, cnt)
         metrics.counter("publish.cascade_items", len(items))

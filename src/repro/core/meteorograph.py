@@ -39,7 +39,7 @@ from ..sim.metrics import MetricSink
 from ..sim.network import Network
 from ..sim.node import StoredItem
 from ..vsm.sparse import Corpus, SparseVector
-from .angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
+from .angles import absolute_angle_from_arrays
 from .directory import publish_pointer as _publish_pointer
 from .firsthop import FirstHopSelector
 from .knees import equalizer_from_sample
@@ -374,43 +374,23 @@ class Meteorograph:
         """(angle key, all ``naming.n_keys`` publish keys) of one item."""
         return self.naming.keys_for(keyword_ids, weights)
 
-    def corpus_keys(
-        self,
-        corpus: Corpus,
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def corpus_keys(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`item_keys` over a corpus (primary keys only;
         see :meth:`corpus_keys_multi` for the full key matrix).
 
-        Corpora larger than :data:`repro.core.angles.DEFAULT_CHUNK_ROWS`
-        rows stream the angle pass in chunks automatically (bounded
-        temporaries, bit-identical keys); pass ``chunk_rows`` to pin a
-        chunk size (or a value ≥ the corpus to force the whole-corpus
-        pass) and ``workers`` to fan chunks over a process pool.
+        The key pass streams the corpus in row blocks of
+        :data:`repro.core.angles.DEFAULT_CHUNK_ROWS` (bounded
+        temporaries, keys bit-identical for every block size).
         """
-        angle_keys, key_mat = self.corpus_keys_multi(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        angle_keys, key_mat = self.corpus_keys_multi(corpus)
         return angle_keys, key_mat[:, 0]
 
-    def corpus_keys_multi(
-        self,
-        corpus: Corpus,
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def corpus_keys_multi(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
         """(angle keys ``(n,)``, publish keys ``(n, naming.n_keys)``) —
-        the scheme's full fan-out, chunk-streamed like :meth:`corpus_keys`."""
+        the scheme's full fan-out, block-streamed like :meth:`corpus_keys`."""
         if corpus.dim != self.dim:
             raise ValueError(f"corpus dim {corpus.dim} != system dim {self.dim}")
-        if chunk_rows is None and corpus.n_items > DEFAULT_CHUNK_ROWS:
-            chunk_rows = DEFAULT_CHUNK_ROWS
-        return self.naming.corpus_to_keys(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        return self.naming.corpus_to_keys(corpus)
 
     def query_angle_key(self, query: SparseVector) -> int:
         """Eq. 5 key of a query vector."""
@@ -566,8 +546,6 @@ class Meteorograph:
         origin: Optional[int] = None,
         batch: Optional[bool] = None,
         cascade: Optional[bool] = None,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> list[PublishResult]:
         """Publish every corpus row (keys batch-computed, vectorised).
 
@@ -588,17 +566,14 @@ class Meteorograph:
         ``item_ids`` renames rows (default: row index).
 
         ``cascade`` selects the finite-capacity placement engine (see
-        :func:`repro.core.publish.batch_publish`); ``chunk_rows`` /
-        ``workers`` stream the key pipeline (see :meth:`corpus_keys`).
+        :func:`repro.core.publish.batch_publish`).
 
         Under a multi-key scheme every row fans out to its L band keys
         — n·L placements through the same engines, with the L× budget
         surfaced on the ``lsh.publish.*`` counters.  The returned list
         still has one entry per row (the band-0 result).
         """
-        angle_keys, key_mat = self.corpus_keys_multi(
-            corpus, chunk_rows=chunk_rows, workers=workers
-        )
+        angle_keys, key_mat = self.corpus_keys_multi(corpus)
         publish_keys = key_mat[:, 0]
         n_keys = self.naming.n_keys
         ids = (
@@ -699,6 +674,44 @@ class Meteorograph:
             results.append(res)
         return results
 
+    def _first_hop_kwargs(
+        self, queries: Sequence[SparseVector], kwargs: dict
+    ) -> list[dict]:
+        """Per query, ``kwargs`` with the §3.5.1 start key and sweep
+        direction filled in (explicit caller values win).
+
+        Walk mode lands at the bottom of the (Eq.-6-stretched) band and
+        sweeps upward, per §3.5.1.  Pointer mode's band is the compact
+        raw-angle cluster and the sample minimum is only a lower
+        *estimate* — it sweeps both ways so matchers below the sample's
+        min key are not lost.  A query with no full match in the sample
+        (rare conjunction) starts at the best partial match and sweeps
+        both ways, since the position is only approximate.
+        """
+        if self.naming.n_keys > 1:
+            raise RuntimeError(
+                "first-hop selection does not compose with multi-key "
+                "naming schemes"
+            )
+        if self.first_hop is None:
+            raise RuntimeError("no first-hop selector (no sample at build time)")
+        angle_space = self.config.directory_pointers
+        resolved = []
+        for q in queries:
+            kw = dict(kwargs)
+            kws = [int(i) for i in q.indices]
+            start = self.first_hop.start_key(kws, angle_space=angle_space)
+            if start is not None:
+                kw.setdefault("start_key", start)
+                kw.setdefault("direction", "both" if angle_space else "up")
+            else:
+                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
+                if relaxed is not None:
+                    kw.setdefault("start_key", relaxed[0])
+                    kw.setdefault("direction", "both")
+            resolved.append(kw)
+        return resolved
+
     def retrieve(
         self,
         origin: int,
@@ -717,37 +730,12 @@ class Meteorograph:
         band (see :mod:`repro.lsh.probe`); first-hop selection does not
         compose with it (start keys live in angle space, not band space).
         """
+        if use_first_hop:
+            (kwargs,) = self._first_hop_kwargs([query], kwargs)
         if self.naming.n_keys > 1:
-            if use_first_hop:
-                raise RuntimeError(
-                    "first-hop selection does not compose with multi-key "
-                    "naming schemes"
-                )
             from ..lsh.probe import multi_probe_retrieve
 
             return multi_probe_retrieve(self, origin, query, amount, **kwargs)
-        if use_first_hop:
-            if self.first_hop is None:
-                raise RuntimeError("no first-hop selector (no sample at build time)")
-            kws = [int(i) for i in query.indices]
-            angle_space = self.config.directory_pointers
-            start = self.first_hop.start_key(kws, angle_space=angle_space)
-            if start is not None:
-                kwargs.setdefault("start_key", start)
-                # Walk mode lands at the bottom of the (Eq.-6-stretched)
-                # band and sweeps upward, per §3.5.1.  Pointer mode's
-                # band is the compact raw-angle cluster and the sample
-                # minimum is only a lower *estimate* — sweep both ways
-                # so matchers below the sample's min key are not lost.
-                kwargs.setdefault("direction", "both" if angle_space else "up")
-            else:
-                # No full match in the sample (rare conjunction): start
-                # at the best partial match and sweep both ways, since
-                # the position is only approximate.
-                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
-                if relaxed is not None:
-                    kwargs.setdefault("start_key", relaxed[0])
-                    kwargs.setdefault("direction", "both")
         if self.config.directory_pointers:
             return retrieve_with_pointers(self, origin, query, amount, **kwargs)
         return retrieve(self, origin, query, amount, **kwargs)
@@ -771,7 +759,7 @@ class Meteorograph:
         the rest of the sharing happens inside
         :func:`repro.core.search_batch.retrieve_many` (which falls back
         to the sequential protocols under directory pointers, admission
-        control, replication, or retries).
+        control, link faults, or retries).
         """
         queries = list(queries)
         if isinstance(origin, (int, np.integer)):
@@ -782,33 +770,16 @@ class Meteorograph:
                 raise ValueError(
                     f"{len(origins)} origins for {len(queries)} queries"
                 )
-        if self.naming.n_keys > 1:
-            if use_first_hop:
-                raise RuntimeError(
-                    "first-hop selection does not compose with multi-key "
-                    "naming schemes"
-                )
-            from ..lsh.probe import multi_probe_retrieve_many
-
-            return multi_probe_retrieve_many(self, origins, queries, amount, **kwargs)
         if not use_first_hop:
+            if self.naming.n_keys > 1:
+                from ..lsh.probe import multi_probe_retrieve_many
+
+                return multi_probe_retrieve_many(
+                    self, origins, queries, amount, **kwargs
+                )
             return retrieve_many(self, origins, queries, amount, **kwargs)
-        if self.first_hop is None:
-            raise RuntimeError("no first-hop selector (no sample at build time)")
-        angle_space = self.config.directory_pointers
         buckets: dict[tuple, list[int]] = {}
-        for i, q in enumerate(queries):
-            kw = dict(kwargs)
-            kws = [int(j) for j in q.indices]
-            start = self.first_hop.start_key(kws, angle_space=angle_space)
-            if start is not None:
-                kw.setdefault("start_key", start)
-                kw.setdefault("direction", "both" if angle_space else "up")
-            else:
-                relaxed = self.first_hop.relaxed_start_key(kws, angle_space=angle_space)
-                if relaxed is not None:
-                    kw.setdefault("start_key", relaxed[0])
-                    kw.setdefault("direction", "both")
+        for i, kw in enumerate(self._first_hop_kwargs(queries, kwargs)):
             buckets.setdefault(
                 (kw.get("start_key"), kw.get("direction", "both")), []
             ).append(i)

@@ -336,10 +336,11 @@ def batch_publish(
     ``cascade`` selects the finite-capacity engine: ``None`` (auto, the
     default) runs the :mod:`repro.core.cascade` shadow-state engine
     whenever it is exact for the configuration (``ANGLE`` policy, no
-    notification/admission hooks) and falls back to the per-item chain
-    loop otherwise; ``False`` forces the sequential loop (the reference
-    semantics the equivalence tests compare against); ``True`` asserts
-    the engine and raises if the configuration cannot take it.
+    notification/admission hooks, no link faults) and falls back to the
+    per-item chain loop otherwise; ``False`` forces the sequential loop
+    (the reference semantics the equivalence tests compare against);
+    ``True`` asserts the engine and raises if the configuration cannot
+    take it.
     """
     n = len(items)
     if n == 0:
@@ -462,7 +463,7 @@ def batch_publish(
             if cascade is True and not cascade_supported(system, policy):
                 raise ValueError(
                     "cascade placement requires the ANGLE policy and no "
-                    "notification/admission hooks"
+                    "notification/admission hooks or link faults"
                 )
             if engine:
                 with obs.metrics.timer("publish.cascade"):

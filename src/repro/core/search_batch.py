@@ -29,10 +29,12 @@ calls would produce.  This holds because, absent back-pressure and
 retries, routing is deterministic and walks/harvests are read-only:
 duplicate queries are *replays*, not approximations.
 
-**Fallback**: under directory pointers, admission control, replication,
+**Fallback**: under directory pointers, admission control, link faults
 or a retry policy the per-query protocols have side effects or
 non-replayable message charges, so the engine degrades to the exact
-sequential loop — mirroring ``batch_publish``'s guard.
+sequential loop — mirroring ``batch_publish``'s guard.  Replication
+needs no fallback: replicas are ordinary stored items on the read
+path, so harvests stay read-only and replayable.
 """
 
 from __future__ import annotations
@@ -182,15 +184,13 @@ def retrieve_many(
     )
     # Sequential fallback: these features make per-query execution
     # non-replayable (shedding and retries charge data-dependent extra
-    # messages; pointer mode is a different protocol; replication
-    # changes harvest targets under failures; link faults drop or
-    # duplicate data-dependently per message) — same guard shape as
+    # messages; pointer mode is a different protocol; link faults drop
+    # or duplicate data-dependently per message) — same guard shape as
     # batch_publish.
     if (
         system.config.directory_pointers
         or system.network.admission is not None
         or system.network.link_faults is not None
-        or system.replication is not None
         or system.config.retry_policy is not None
     ):
         return _sequential(system, origins, queries, amount, kwargs, start_keys)

@@ -6,16 +6,19 @@ route, and finite-capacity placement.  ROADMAP flagged the two scaling
 cliffs this experiment pins:
 
 * the whole-corpus angle pass materialises O(total nnz) temporaries —
-  gigabytes at the paper's 2.76M-item trace — fixed by the chunked
-  streaming pass (``chunk_rows``), which must be *bit-identical*;
+  gigabytes at the paper's 2.76M-item trace — fixed by walking the
+  corpus serially in row blocks (``chunk_rows``, default
+  :data:`~repro.core.angles.DEFAULT_CHUNK_ROWS`), which must be
+  *bit-identical* to the one-block pass;
 * the finite-capacity branch of ``batch_publish`` ran the Fig. 2
   displacement chains one item at a time in Python — fixed by the
   cascade placement engine (:mod:`repro.core.cascade`), which must be
   *placement-identical*.
 
-One row per corpus size: key-pipeline timings (whole vs chunked vs
-process pool) with the bit-identity flag, and tight-capacity publish
-wall-clock for the cascade engine, with the sequential-chain branch
+One row per corpus size: angle-pass timings (one block of all ``n``
+rows vs the default ``chunk_rows``-row blocks) with the bit-identity
+flag, and tight-capacity publish wall-clock for the cascade engine,
+with the sequential-chain branch
 timed alongside up to ``seq_max_items`` (it is quadratic-ish in load;
 at 500K items it would take minutes for a number the small sizes
 already establish).  The committed ``results/buildscale.csv`` is the
@@ -35,7 +38,7 @@ import time
 import numpy as np
 
 from ..core import Meteorograph, MeteorographConfig, PlacementScheme
-from ..core.angles import absolute_angles
+from ..core.angles import DEFAULT_CHUNK_ROWS, absolute_angles
 from ..workload import WorldCupParams, generate_trace
 from .common import RowSet, sample_of, scale_factor, timer
 
@@ -71,8 +74,7 @@ def run_build_scale(
     *,
     sizes: "tuple[int, ...] | None" = None,
     seq_max_items: int = 25_000,
-    chunk_rows: int = 65_536,
-    pool_workers: int = 2,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
     seed: int = 19980724,
 ) -> RowSet:
     """Rows: one per corpus size, timing the whole build path.
@@ -94,7 +96,6 @@ def run_build_scale(
             "gen s",
             "angles ms",
             "chunked ms",
-            "pool ms",
             "keys identical",
             "cascade ms",
             "chain ms",
@@ -117,19 +118,12 @@ def run_build_scale(
             corpus = trace.corpus
 
             t0 = time.perf_counter()
-            whole = absolute_angles(corpus)
+            whole = absolute_angles(corpus, chunk_rows=n_items)
             whole_ms = (time.perf_counter() - t0) * 1e3
             t0 = time.perf_counter()
             chunked = absolute_angles(corpus, chunk_rows=chunk_rows)
             chunked_ms = (time.perf_counter() - t0) * 1e3
-            t0 = time.perf_counter()
-            pooled = absolute_angles(
-                corpus, chunk_rows=chunk_rows, workers=pool_workers
-            )
-            pool_ms = (time.perf_counter() - t0) * 1e3
-            keys_identical = bool(
-                np.array_equal(whole, chunked) and np.array_equal(whole, pooled)
-            )
+            keys_identical = bool(np.array_equal(whole, chunked))
             identical_all = identical_all and keys_identical
 
             # Ring sized so ideal load c = items/nodes stays ~125 and
@@ -170,7 +164,6 @@ def run_build_scale(
                 round(gen_s, 2),
                 round(whole_ms, 1),
                 round(chunked_ms, 1),
-                round(pool_ms, 1),
                 keys_identical,
                 round(cascade_ms, 1),
                 chain_ms,
@@ -179,7 +172,6 @@ def run_build_scale(
                 drops,
             )
         rs.notes["chunk_rows"] = chunk_rows
-        rs.notes["pool_workers"] = pool_workers
         rs.notes["seq_max_items"] = seq_max_items
         rs.notes["keys_identical_all"] = identical_all
     return rs

@@ -20,8 +20,8 @@ buckets.
 Determinism: hyperplanes derive from ``splitmix64``-mixed per-band
 seeds feeding ``PCG64`` generators, so the same ``seed`` reproduces
 the same planes (and therefore the same keys) across processes; the
-signature pass is row-local, so chunked/process-pool runs are
-**bit-identical** to the whole-corpus pass (the `core/angles.py`
+signature pass is row-local, so every row-block size gives
+**bit-identical** signatures (the `core/angles.py`
 row-chunk contract, pinned by ``tests/lsh/test_bands.py``).
 """
 
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..core import naming as _naming
-from ..core.angles import DEFAULT_CHUNK_ROWS, absolute_angle_from_arrays
+from ..core.angles import absolute_angle_from_arrays, row_spans
 from ..core.naming import angle_to_key
 from ..maint.retry import splitmix64
 from ..obs import NULL_OBS
@@ -64,11 +64,6 @@ def _signature_kernel(
     proj = mat @ hyperplanes.T  # (n, bands*k); row-local dot products
     bits = proj > 0.0
     return (bits.reshape(n, bands, k) * bit_weights).sum(axis=2, dtype=np.int64)
-
-
-def _signature_chunk_worker(payload) -> np.ndarray:
-    """Process-pool entry point — module-level so it pickles."""
-    return _signature_kernel(*payload)
 
 
 class CosineLshScheme:
@@ -149,61 +144,29 @@ class CosineLshScheme:
     # ----------------------------------------------------------- signatures
 
     def signatures(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
+        self, corpus: "Corpus", *, chunk_rows: Optional[int] = None
     ) -> np.ndarray:
-        """``(n_items, bands)`` int64 signatures, chunk/worker-invariant.
+        """``(n_items, bands)`` int64 signatures, block-size-invariant.
 
-        Mirrors :func:`repro.core.angles.absolute_angles`: ``chunk_rows``
-        streams the projection in row blocks (bounded temporaries),
-        ``workers`` fans blocks over a process pool, and the output is
-        bit-identical either way because the kernel is row-local.
-        Corpora past :data:`~repro.core.angles.DEFAULT_CHUNK_ROWS` rows
-        chunk automatically.
+        Mirrors :func:`repro.core.angles.absolute_angles`: one serial
+        pass projecting ``chunk_rows``-row blocks (default
+        :data:`~repro.core.angles.DEFAULT_CHUNK_ROWS`, bounded
+        temporaries), bit-identical for every block size because the
+        kernel is row-local.
         """
         if corpus.dim != self.dim:
             raise ValueError(f"corpus dim {corpus.dim} != scheme dim {self.dim}")
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        n = corpus.n_items
-        if chunk_rows is None and n > DEFAULT_CHUNK_ROWS:
-            chunk_rows = DEFAULT_CHUNK_ROWS
         mat = corpus.matrix
+        data, indices, indptr = mat.data, mat.indices, mat.indptr
+        out = np.empty((corpus.n_items, self.bands), dtype=np.int64)
         with self.metrics.timer("lsh.signatures"):
-            if chunk_rows is None or chunk_rows >= n:
-                return _signature_kernel(
-                    mat.data, mat.indices, mat.indptr, self.dim,
+            for lo, hi in row_spans(corpus.n_items, chunk_rows):
+                a, b = indptr[lo], indptr[hi]
+                out[lo:hi] = _signature_kernel(
+                    data[a:b], indices[a:b], indptr[lo : hi + 1] - a, self.dim,
                     self.hyperplanes, self._bit_weights,
                 )
-            data, indices, indptr = mat.data, mat.indices, mat.indptr
-            spans = [(lo, min(lo + chunk_rows, n)) for lo in range(0, n, chunk_rows)]
-            payloads = (
-                (
-                    data[indptr[lo] : indptr[hi]],
-                    indices[indptr[lo] : indptr[hi]],
-                    indptr[lo : hi + 1] - indptr[lo],
-                    self.dim,
-                    self.hyperplanes,
-                    self._bit_weights,
-                )
-                for lo, hi in spans
-            )
-            out = np.empty((n, self.bands), dtype=np.int64)
-            if workers is not None and workers > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for (lo, hi), res in zip(
-                        spans, pool.map(_signature_chunk_worker, payloads)
-                    ):
-                        out[lo:hi] = res
-            else:
-                for (lo, hi), payload in zip(spans, payloads):
-                    out[lo:hi] = _signature_kernel(*payload)
-            return out
+        return out
 
     def _keys_of(self, signatures: np.ndarray) -> np.ndarray:
         """Band signatures → ring keys (disjoint region per band)."""
@@ -228,19 +191,10 @@ class CosineLshScheme:
         sigs = (bits * self._bit_weights).sum(axis=1, dtype=np.int64)
         return self._keys_of(sigs).tolist()
 
-    def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def corpus_to_keys(self, corpus: "Corpus") -> tuple[np.ndarray, np.ndarray]:
         with self.metrics.timer("kernel.angles"):
-            angle_keys = _naming.corpus_to_keys(
-                corpus, self.space, chunk_rows=chunk_rows, workers=workers
-            )
-        sigs = self.signatures(corpus, chunk_rows=chunk_rows, workers=workers)
-        return angle_keys, self._keys_of(sigs)
+            angle_keys = _naming.corpus_to_keys(corpus, self.space)
+        return angle_keys, self._keys_of(self.signatures(corpus))
 
     def probe_keys_for(self, query: "SparseVector") -> list[int]:
         return self._vector_keys(

@@ -8,8 +8,8 @@ is a clean seam.  A :class:`NamingScheme` answers three questions:
   its **one or more** publish keys (``n_keys`` of them);
 * ``corpus_to_keys(corpus)`` — the vectorised counterpart over a whole
   corpus, returning the angle-key vector and an ``(n_items, n_keys)``
-  publish-key matrix (chunk-streamable, bit-identical across chunk
-  sizes and worker counts, like the Eq. 5 pipeline it wraps);
+  publish-key matrix (one serial pass in row blocks, bit-identical
+  for every block size, like the Eq. 5 pipeline it wraps);
 * ``probe_keys_for(query)`` — the ordered list of keys a retrieve
   should probe for this query.
 
@@ -66,13 +66,7 @@ class NamingScheme(Protocol):
         """(Eq. 5 angle key, the item's ``n_keys`` publish keys)."""
         ...  # pragma: no cover - protocol
 
-    def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def corpus_to_keys(self, corpus: "Corpus") -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`keys_for`: (angle keys ``(n,)``, publish
         keys ``(n, n_keys)``), both int64."""
         ...  # pragma: no cover - protocol
@@ -121,17 +115,9 @@ class AbsoluteAngleScheme:
             return angle_key, [self.equalizer.remap(angle_key)]
         return angle_key, [angle_key]
 
-    def corpus_to_keys(
-        self,
-        corpus: "Corpus",
-        *,
-        chunk_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def corpus_to_keys(self, corpus: "Corpus") -> tuple[np.ndarray, np.ndarray]:
         with self.metrics.timer("kernel.angles"):
-            angle_keys = _naming.corpus_to_keys(
-                corpus, self.space, chunk_rows=chunk_rows, workers=workers
-            )
+            angle_keys = _naming.corpus_to_keys(corpus, self.space)
         if self.equalizer is not None:
             with self.metrics.timer("kernel.remap"):
                 publish_keys = self.equalizer.remap_many(angle_keys)

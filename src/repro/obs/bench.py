@@ -78,7 +78,6 @@ _LOOPS = {
     "repair_full_scan": 1,
     "lsh_signatures": 3,
     "multi_probe_retrieve": 1,
-    "angles_chunked_pool": 3,
 }
 
 
@@ -434,9 +433,6 @@ def build_kernels(scale: float = 1.0) -> dict[str, object]:
         "repair_full_scan": (prepare_repair(False), repair_full),
         "lsh_signatures": lambda: lsh_scheme.signatures(corpus),
         "multi_probe_retrieve": lsh_probe_all,
-        "angles_chunked_pool": lambda: absolute_angles(
-            corpus, chunk_rows=1024, workers=2
-        ),
     }
 
 

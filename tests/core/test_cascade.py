@@ -8,10 +8,12 @@ and shadow seeding from pre-populated nodes.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.cascade import cascade_placement, cascade_supported
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
 from repro.core.publish import ReplacementPolicy, run_displacement_chain
+from repro.sim.linkfaults import LinkFaultPlane
 from repro.sim.node import StoredItem
 from repro.workload import WorldCupParams, generate_trace
 
@@ -28,9 +30,8 @@ def make_trace(seed=19980724):
 def build_system(trace, *, capacity=None, seed=9, **cfg_kwargs):
     rng = np.random.default_rng(5)
     sample_ids = np.sort(rng.choice(trace.corpus.n_items, 50, replace=False))
-    cfg = MeteorographConfig(
-        scheme=PlacementScheme.UNUSED_HASH, node_capacity=capacity, **cfg_kwargs
-    )
+    cfg_kwargs.setdefault("scheme", PlacementScheme.UNUSED_HASH)
+    cfg = MeteorographConfig(node_capacity=capacity, **cfg_kwargs)
     return Meteorograph.build(
         N_NODES,
         trace.corpus.dim,
@@ -106,6 +107,81 @@ class TestCascadeSupport:
         system = build_system(trace)
         system.notifications = object()  # any attached service
         assert not cascade_supported(system, ReplacementPolicy.ANGLE)
+
+    def _faulty_run(self, trace, cascade):
+        system = build_system(trace, capacity=5)
+        plane = system.network.attach_link_faults(
+            LinkFaultPlane(seed=11, drop_prob=0.1)
+        )
+        system.publish_corpus(
+            trace.corpus, np.random.default_rng(3), batch=True, cascade=cascade
+        )
+        return (
+            placements(system),
+            system.network.sink.snapshot(),
+            (plane.charged, plane.delivered, plane.dropped, plane.duplicated),
+        )
+
+    def test_link_faults_force_fallback(self):
+        """Every displace message must cross an attached fault plane,
+        which the engine's bulk charge would bypass: auto mode runs the
+        chain loop, so placements, bill and plane counters all match."""
+        trace = make_trace()
+        auto = self._faulty_run(trace, None)
+        assert auto == self._faulty_run(trace, False)
+        assert auto[1].get("displace", 0) > 0  # the batch displaces
+        assert auto[2][2] > 0  # and the plane drops some of it
+
+    def test_forced_cascade_rejected_with_link_faults(self):
+        trace = make_trace()
+        with pytest.raises(ValueError, match="link faults"):
+            self._faulty_run(trace, True)
+
+
+class TestBillParity:
+    def _run(self, trace, cascade, **cfg_kwargs):
+        system = build_system(trace, capacity=5, observability=True, **cfg_kwargs)
+        system.publish_corpus(
+            trace.corpus, np.random.default_rng(3), batch=True, cascade=cascade
+        )
+        sent = {
+            k: v
+            for k, v in system.obs.metrics.counters.items()
+            if k.startswith("net.sent.")
+        }
+        return placements(system), system.network.sink.snapshot(), sent
+
+    def test_zero_hop_budget_adds_no_bill_key(self):
+        """With ``hop_budget=0`` no chain hops, so the engine must not
+        create the zero-valued ``displace`` entries the chain loop never
+        makes (a snapshot-equality check like ``build --check``'s)."""
+        trace = make_trace()
+        cas = self._run(trace, True, hop_budget=0)
+        assert cas == self._run(trace, False, hop_budget=0)
+        assert "displace" not in cas[1]
+
+    def test_multi_key_copies_meeting_on_a_node(self):
+        """Under cosine-LSH an item's L copies share an id and an angle
+        key; displacement can push one onto a node holding another, and
+        the admitted copy must replace the held one exactly as
+        ``store_at`` does."""
+        trace = make_trace()
+        cfg = dict(scheme=PlacementScheme.NONE, naming_scheme="cosine-lsh")
+        runs = {}
+        for cascade in (True, False):
+            system = build_system(trace, capacity=12, **cfg)
+            results = system.publish_corpus(
+                trace.corpus, np.random.default_rng(3), batch=True, cascade=cascade
+            )
+            runs[cascade] = (
+                {
+                    n.node_id: sorted((it.item_id, it.publish_key) for it in n.items())
+                    for n in system.network.nodes()
+                },
+                system.network.sink.snapshot(),
+                [(r.home, r.success, r.dropped_item_id) for r in results],
+            )
+        assert runs[True] == runs[False]
 
 
 class TestDirectNodeStore:

@@ -1,18 +1,19 @@
-"""Chunked/streaming key pipeline — bit-identity contract.
+"""Row-block key pipeline — bit-identity contract.
 
-The whole point of the chunked angle pass is that it changes *nothing*
-but peak memory: float64 angles and int64 keys must be bit-identical to
-the whole-corpus pass for every chunk size and worker count, and the
-system-level wrappers must plumb the knobs through without perturbing
-placements.
+The angle pass always walks the corpus serially in row blocks, and the
+block size changes *nothing* but peak memory: float64 angles and int64
+keys must be bit-identical to the one-block (whole-corpus) pass for
+every block size, and the facade's keys and placements must not depend
+on :data:`DEFAULT_CHUNK_ROWS`.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.angles as angles_mod
 from repro.core.angles import DEFAULT_CHUNK_ROWS, absolute_angle, absolute_angles
 from repro.core.meteorograph import Meteorograph, MeteorographConfig, PlacementScheme
-from repro.core.naming import corpus_to_keys
+from repro.core.naming import angle_to_key, corpus_to_keys
 from repro.overlay.idspace import KeySpace
 from repro.workload import WorldCupParams, generate_trace
 
@@ -34,15 +35,11 @@ class TestBitIdentity:
             assert chunked.dtype == np.float64
             assert np.array_equal(whole, chunked), f"chunk_rows={chunk}"
 
-    def test_process_pool_matches_serial_exactly(self, corpus):
-        whole = absolute_angles(corpus)
-        pooled = absolute_angles(corpus, chunk_rows=64, workers=2)
-        assert np.array_equal(whole, pooled)
-
-    def test_keys_identical(self, corpus):
+    def test_keys_identical(self, corpus, monkeypatch):
         space = KeySpace(10**8)
         whole = corpus_to_keys(corpus, space)
-        chunked = corpus_to_keys(corpus, space, chunk_rows=33)
+        monkeypatch.setattr(angles_mod, "DEFAULT_CHUNK_ROWS", 33)
+        chunked = corpus_to_keys(corpus, space)
         assert whole.dtype == np.int64
         assert np.array_equal(whole, chunked)
 
@@ -73,10 +70,15 @@ class TestBitIdentity:
             absolute_angles(corpus, chunk_rows=0)
 
 
-def build_system(corpus, **kwargs):
+def build_system(corpus, naming=None, **cfg_kwargs):
     rng = np.random.default_rng(5)
     sample_ids = np.sort(rng.choice(corpus.n_items, 50, replace=False))
-    cfg = MeteorographConfig(scheme=PlacementScheme.UNUSED_HASH)
+    if naming is None:
+        cfg = MeteorographConfig(scheme=PlacementScheme.UNUSED_HASH, **cfg_kwargs)
+    else:
+        cfg = MeteorographConfig(
+            scheme=PlacementScheme.NONE, naming_scheme=naming, **cfg_kwargs
+        )
     return Meteorograph.build(
         60,
         corpus.dim,
@@ -86,55 +88,75 @@ def build_system(corpus, **kwargs):
     )
 
 
+def placements(system):
+    return {
+        n.node_id: frozenset(n.item_ids())
+        for n in system.network.nodes()
+        if len(n)
+    }
+
+
 class TestSystemWiring:
     def test_corpus_keys_chunk_knob(self, corpus):
+        """The facade's keys are the Eq. 4 map (then Eq. 6) of the
+        angle kernel's output at any ``chunk_rows``."""
         system = build_system(corpus)
-        a_whole, p_whole = system.corpus_keys(corpus)
-        a_chunk, p_chunk = system.corpus_keys(corpus, chunk_rows=19)
-        assert np.array_equal(a_whole, a_chunk)
-        assert np.array_equal(p_whole, p_chunk)
+        a_sys, p_sys = system.corpus_keys(corpus)
+        thetas = absolute_angles(corpus, chunk_rows=19)
+        a_chunk = np.array([angle_to_key(t, system.space) for t in thetas])
+        assert np.array_equal(a_sys, a_chunk)
+        assert np.array_equal(p_sys, system.equalizer.remap_many(a_chunk))
 
-    def test_auto_chunk_threshold(self, corpus, monkeypatch):
-        """Corpora above DEFAULT_CHUNK_ROWS rows auto-chunk; small ones
-        take the whole-corpus pass.  Observed via the chunk_rows that
-        reaches corpus_to_keys (now called through the naming-scheme
-        seam, so the spy sits on repro.core.naming)."""
-        import repro.core.meteorograph as mg
+    @pytest.mark.parametrize("naming", [None, "cosine-lsh"])
+    def test_small_default_chunk_matches_one_block(
+        self, corpus, naming, monkeypatch
+    ):
+        """With DEFAULT_CHUNK_ROWS below the corpus size the facade
+        walks several blocks, and its keys and placements equal the
+        one-block (``chunk_rows=n``) pass, for both naming schemes."""
+        import repro.lsh.bands as bands_mod
+
+        def publish(system):
+            system.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+            return placements(system)
+
+        kernel = "_signature_kernel" if naming else "_angles_kernel"
+        kernel_mod = bands_mod if naming else angles_mod
+        one_block = build_system(corpus, naming, node_capacity=12)
+        keys = one_block.corpus_keys_multi(corpus)
+        placed = publish(one_block)
+
+        blocked = build_system(corpus, naming, node_capacity=12)
+        calls = []
+        real = getattr(kernel_mod, kernel)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(angles_mod, "DEFAULT_CHUNK_ROWS", 37)
+        monkeypatch.setattr(kernel_mod, kernel, counting)
+        blocked_keys = blocked.corpus_keys_multi(corpus)
+        assert len(calls) == -(-N_ITEMS // 37)  # really ran in blocks
+        for a, b in zip(keys, blocked_keys):
+            assert np.array_equal(a, b)
+        assert publish(blocked) == placed
+        assert blocked.network.sink.snapshot() == one_block.network.sink.snapshot()
+
+    def test_publish_corpus_chunked_same_placements(self, corpus, monkeypatch):
+        """Placements from keys named through the kernel's ``chunk_rows``
+        keyword equal those of the default pass."""
         import repro.core.naming as naming_mod
 
-        system = build_system(corpus)  # before the spy: build keys the sample
-        seen = []
-        real = naming_mod.corpus_to_keys
-
-        def spy(c, space, *, chunk_rows=None, workers=None):
-            seen.append(chunk_rows)
-            return real(c, space, chunk_rows=chunk_rows, workers=workers)
-
-        monkeypatch.setattr(naming_mod, "corpus_to_keys", spy)
-        system.corpus_keys(corpus)  # small: no chunking
-        monkeypatch.setattr(mg, "DEFAULT_CHUNK_ROWS", 100)
-        system.corpus_keys(corpus)  # now "large": auto-chunks at 100
-        system.corpus_keys(corpus, chunk_rows=7)  # explicit wins
-        assert seen == [None, 100, 7]
-
-    def test_publish_corpus_chunked_same_placements(self, corpus):
-        whole_sys = build_system(corpus)
-        chunk_sys = build_system(corpus)
+        whole_sys = build_system(corpus, node_capacity=12)
         whole_sys.publish_corpus(corpus, np.random.default_rng(3), batch=True)
-        chunk_sys.publish_corpus(
-            corpus, np.random.default_rng(3), batch=True, chunk_rows=37
+        real = naming_mod.absolute_angles
+        monkeypatch.setattr(
+            naming_mod, "absolute_angles", lambda c: real(c, chunk_rows=37)
         )
-        whole = {
-            n.node_id: frozenset(n.item_ids())
-            for n in whole_sys.network.nodes()
-            if len(n)
-        }
-        chunk = {
-            n.node_id: frozenset(n.item_ids())
-            for n in chunk_sys.network.nodes()
-            if len(n)
-        }
-        assert whole == chunk
+        chunk_sys = build_system(corpus, node_capacity=12)
+        chunk_sys.publish_corpus(corpus, np.random.default_rng(3), batch=True)
+        assert placements(whole_sys) == placements(chunk_sys)
 
     def test_default_threshold_is_sane(self):
         assert DEFAULT_CHUNK_ROWS >= 1024

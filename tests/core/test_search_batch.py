@@ -221,6 +221,50 @@ class TestFallbacks:
         assert_equiv(a, b, origins, queries, 2)
 
 
+class TestReplication:
+    @pytest.mark.parametrize("capacity", [None, 40])
+    @pytest.mark.parametrize("failed_frac", [0.0, 0.3])
+    def test_replicated_reads_match_sequential(self, capacity, failed_frac):
+        """Replicas are ordinary stored items on the read path, so the
+        batch engine serves a replicated system directly — with or
+        without failed nodes — and still equals sequential retrieve."""
+        rng = np.random.default_rng(61)
+        node_ids = sorted(rng.choice(10_000, size=80, replace=False).tolist())
+        systems = []
+        for _ in range(2):
+            network = Network()
+            overlay = TornadoOverlay(SPACE, network)
+            system = Meteorograph(
+                space=SPACE, network=network, overlay=overlay, dim=DIM,
+                config=MeteorographConfig(
+                    scheme=PlacementScheme.NONE,
+                    node_capacity=capacity,
+                    replication_factor=3,
+                ),
+                equalizer=None,
+            )
+            for nid in node_ids:
+                overlay.add_node(nid, capacity=capacity)
+            systems.append(system)
+        for item_id in range(1200):
+            k = int(rng.integers(1, 4))
+            kws = sorted(rng.choice(KW_POOL, size=k, replace=False).tolist())
+            ws = np.round(rng.uniform(0.5, 2.0, size=k), 3).tolist()
+            for s in systems:
+                s.publish(node_ids[0], item_id, kws, ws)
+        n_dead = int(failed_frac * len(node_ids))
+        dead = set(rng.choice(node_ids, size=n_dead, replace=False).tolist())
+        for s in systems:
+            s.network.fail_nodes(sorted(dead))
+        a, b = systems
+        live = [n for n in node_ids if n not in dead]
+        queries = random_queries(rng, 80)
+        origins = [live[int(i)] for i in rng.integers(0, len(live), len(queries))]
+        seq, _ = assert_equiv(a, b, origins, queries, 8)
+        assert a.network.sink.snapshot() == b.network.sink.snapshot()
+        assert any(r.found for r in seq)
+
+
 class TestValidation:
     def test_bad_arguments(self):
         _, a, _ = twin_worlds(1, n_nodes=4, n_items=2)

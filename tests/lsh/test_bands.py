@@ -5,8 +5,8 @@ The subsystem's load-bearing promises (ISSUE 8, satellite c):
 * same seed → same hyperplanes and same keys, across independently
   constructed instances (i.e. across processes — construction has no
   hidden global state);
-* the signature pass is bit-identical across chunk sizes and worker
-  counts (the ``core/angles.py`` row-chunk contract, extended);
+* the signature pass is bit-identical across row-block sizes (the
+  ``core/angles.py`` row-chunk contract, extended);
 * every band's keys land inside that band's disjoint key-space region;
 * the scalar ``keys_for`` path agrees with the vectorised
   ``corpus_to_keys`` path on the buckets that matter.
@@ -15,6 +15,7 @@ The subsystem's load-bearing promises (ISSUE 8, satellite c):
 import numpy as np
 import pytest
 
+import repro.core.angles as angles_mod
 from repro.lsh import CosineLshScheme
 from repro.overlay.idspace import KeySpace
 from repro.workload import WorldCupParams, generate_trace
@@ -79,16 +80,11 @@ class TestChunkInvariance:
             chunked = s.signatures(corpus, chunk_rows=chunk)
             assert np.array_equal(whole, chunked), f"chunk_rows={chunk}"
 
-    def test_signatures_process_pool(self, corpus):
-        s = make_scheme(corpus)
-        whole = s.signatures(corpus)
-        pooled = s.signatures(corpus, chunk_rows=64, workers=2)
-        assert np.array_equal(whole, pooled)
-
-    def test_corpus_to_keys_chunk_invariant(self, corpus):
+    def test_corpus_to_keys_chunk_invariant(self, corpus, monkeypatch):
         s = make_scheme(corpus)
         a_whole, k_whole = s.corpus_to_keys(corpus)
-        a_chunk, k_chunk = s.corpus_to_keys(corpus, chunk_rows=33)
+        monkeypatch.setattr(angles_mod, "DEFAULT_CHUNK_ROWS", 33)
+        a_chunk, k_chunk = s.corpus_to_keys(corpus)
         assert np.array_equal(a_whole, a_chunk)
         assert np.array_equal(k_whole, k_chunk)
 
