@@ -64,7 +64,7 @@ from .sim import (
     HopHistogram,
     fail_fraction,
 )
-from .vsm import SparseVector, Corpus, Dictionary, LocalVsmIndex, LsiIndex
+from .vsm import SparseVector, Corpus, Dictionary, LocalVsmIndex
 from .workload import (
     WorldCupParams,
     WorldCupTrace,
@@ -116,7 +116,6 @@ __all__ = [
     "Corpus",
     "Dictionary",
     "LocalVsmIndex",
-    "LsiIndex",
     "WorldCupParams",
     "WorldCupTrace",
     "generate_trace",

@@ -525,7 +525,9 @@ _SCENARIO_NAMES = ("batch-kill", "poisson", "flapping", "region", "partition", "
 #: Instruments ``stats --check`` requires after a demo session; chosen
 #: so that breaking any instrumented layer (network counters, routing,
 #: kernels, the simulator profiler) trips the check.
-_REQUIRED_COUNTERS = ("net.sent.publish", "routing.rows_built")
+_REQUIRED_COUNTERS = (
+    "net.sent.publish", "routing.rows_built", "engine.publish.sequential"
+)
 _REQUIRED_TIMERS = ("kernel.angles", "publish.displace_chain", "sim.step")
 
 

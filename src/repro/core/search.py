@@ -189,11 +189,11 @@ def retrieve(
             )
             fresh = 0
             for h in hits:
-                if h.item.item_id in seen_items:
+                if h.item_id in seen_items:
                     continue
-                seen_items.add(h.item.item_id)
+                seen_items.add(h.item_id)
                 result.discoveries.append(
-                    Discovery(h.item.item_id, node_id, h.score, hops_here)
+                    Discovery(h.item_id, node_id, h.score, hops_here)
                 )
                 fresh += 1
             if fresh:
@@ -473,12 +473,12 @@ def retrieve_with_pointers(
             )
             fresh = 0
             for h in hits:
-                if h.item.item_id in seen_items:
+                if h.item_id in seen_items:
                     continue
-                seen_items.add(h.item.item_id)
+                seen_items.add(h.item_id)
                 result.discoveries.append(
                     Discovery(
-                        h.item.item_id, node_id, h.score, hops_here_of(h.item.item_id)
+                        h.item_id, node_id, h.score, hops_here_of(h.item_id)
                     )
                 )
                 fresh += 1

@@ -122,7 +122,7 @@ def _harvest(
     fresh = 0
     seen = g.seen
     for h in ranked:
-        iid = h.item.item_id
+        iid = h.item_id
         if iid in seen:
             continue
         seen.add(iid)

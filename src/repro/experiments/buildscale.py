@@ -25,9 +25,14 @@ already establish).  The committed ``results/buildscale.csv`` is the
 acceptance artifact for the ≥3× cascade claim — the speedup column at
 the bench size (6K) — and for the ≥500K-item reach of the pipeline.
 
-Capacity is held at ~4/3 of the ideal load c = items/nodes, so a
-constant fraction of homes overflow and chain length stays
-size-independent: the curve isolates how the *engines* scale, not how
+A last row runs the end-to-end benchmark's ``build`` shape
+(:data:`PERF_BUILD`: N = 10⁴, 2×10⁵ items, capacity 4c), so the
+benchmark's number has a committed twin here.
+
+Capacity in the size rows is held at ~4/3 of the ideal load
+c = items/nodes, so a constant fraction of homes overflow and chain
+length stays size-independent: the curve isolates how the *engines*
+scale, not how
 overload grows.
 """
 
@@ -45,8 +50,11 @@ from .common import RowSet, sample_of, scale_factor, timer
 __all__ = ["run_build_scale"]
 
 #: Default corpus sizes (items) at REPRO_SCALE=1.  The last row is the
-#: ISSUE's ≥500K acceptance point.
+#: ≥500K-item reach point.
 DEFAULT_SIZES = (6_000, 24_000, 96_000, 500_000)
+#: The end-to-end benchmark's ``build`` shape (``perfbench/``): 2×10⁵
+#: items over 4,000 keywords on N = 10⁴ nodes at capacity 4c.
+PERF_BUILD = (200_000, 4_000, 10_000, 4.0)
 
 
 def _build(corpus, n_nodes: int, capacity: int, seed: int) -> Meteorograph:
@@ -80,13 +88,11 @@ def run_build_scale(
     """Rows: one per corpus size, timing the whole build path.
 
     ``seq_max_items`` bounds where the old per-item chain branch is
-    timed for the speedup column; larger rows leave it blank.  The
+    timed for the speedup column; larger rows leave it blank.  The last
+    row is the :data:`PERF_BUILD` shape.  The
     placement/accounting equivalence of the two branches is asserted on
     every row where both ran.
     """
-    if sizes is None:
-        s = scale_factor()
-        sizes = tuple(dict.fromkeys(max(500, int(round(n * s))) for n in DEFAULT_SIZES))
     rs = RowSet(
         "Build-path scaling — chunked key pipeline + cascade placement",
         (
@@ -104,15 +110,32 @@ def run_build_scale(
             "drops",
         ),
     )
+    s = scale_factor()
+    if sizes is None:
+        sizes = tuple(dict.fromkeys(max(500, int(round(n * s))) for n in DEFAULT_SIZES))
+    # (items, keywords, nodes, capacity) per row.  Size rows: a ring sized
+    # so the ideal load c = items/nodes stays ~125 and capacity ~4c/3, so
+    # the overflow fraction (hence chain shape) is constant across sizes.
+    cells = []
+    for n_items in sizes:
+        n_nodes = max(250, min(4000, n_items // 125))
+        capacity = max(4, int(round((n_items / n_nodes) * 4 / 3)))
+        cells.append((n_items, max(300, n_items // 5), n_nodes, capacity))
+    p_items, p_keywords, p_nodes, p_cap = PERF_BUILD
+    n_items = max(500, int(round(p_items * s)))
+    n_nodes = max(25, int(round(p_nodes * s)))
+    cells.append((
+        n_items,
+        max(100, int(round(p_keywords * s))),
+        n_nodes,
+        max(1, int(round(p_cap * n_items / n_nodes))),
+    ))
     with timer(rs):
         identical_all = True
-        for n_items in sizes:
+        for n_items, n_keywords, n_nodes, capacity in cells:
             t0 = time.perf_counter()
             trace = generate_trace(
-                WorldCupParams(
-                    n_items=n_items, n_keywords=max(300, n_items // 5)
-                ),
-                seed=seed,
+                WorldCupParams(n_items=n_items, n_keywords=n_keywords), seed=seed
             )
             gen_s = time.perf_counter() - t0
             corpus = trace.corpus
@@ -125,12 +148,6 @@ def run_build_scale(
             chunked_ms = (time.perf_counter() - t0) * 1e3
             keys_identical = bool(np.array_equal(whole, chunked))
             identical_all = identical_all and keys_identical
-
-            # Ring sized so ideal load c = items/nodes stays ~125 and
-            # capacity ~4c/3: overflow fraction (hence chain shape) is
-            # held constant across sizes.
-            n_nodes = max(250, min(4000, n_items // 125))
-            capacity = max(4, int(round((n_items / n_nodes) * 4 / 3)))
 
             cas_sys = _build(corpus, n_nodes, capacity, seed=seed + 1)
             t0 = time.perf_counter()

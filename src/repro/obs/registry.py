@@ -293,11 +293,17 @@ class MetricsRegistry:
     def render_tables(self, *, top_buckets: int = 5) -> str:
         """Plain-text tables for ``meteorograph stats``."""
         lines: list[str] = []
-        if self.counters:
-            lines.append("== counters ==")
-            width = max(len(k) for k in self.counters)
-            for k, v in sorted(self.counters.items()):
-                lines.append(f"{k.ljust(width)}  {v}")
+        # Which engine served each operation comes first.
+        engines = {k: v for k, v in self.counters.items() if k.startswith("engine.")}
+        others = {k: v for k, v in self.counters.items() if k not in engines}
+        for title, table in (("engines", engines), ("counters", others)):
+            if table:
+                if lines:
+                    lines.append("")
+                lines.append(f"== {title} ==")
+                width = max(len(k) for k in table)
+                for k, v in sorted(table.items()):
+                    lines.append(f"{k.ljust(width)}  {v}")
         if self.gauges:
             lines.append("")
             lines.append("== gauges ==")

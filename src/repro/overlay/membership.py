@@ -112,13 +112,11 @@ def graceful_leave(overlay: Overlay, node_id: int) -> int:
     neighbor_id = overlay.closest_neighbor(node_id, alive_only=True)
     moved = 0
     if neighbor_id is not None and len(node):
-        ids = list(node.item_ids())
-        norms = node.index.norms_of_many(ids)
-        items = node.evict_many(ids)
+        items = node.evict_many(list(node.item_ids()))
         # Hand-off ignores capacity: a departing node's neighbor
         # temporarily over-commits rather than lose data (the
         # displacement chain will thin it out on the next publish).
-        overlay.node(neighbor_id)._index().add_many(items, norms)  # noqa: SLF001 - deliberate over-commit
+        overlay.node(neighbor_id)._index().add_many(items)  # noqa: SLF001 - deliberate over-commit
         moved = len(items)
         overlay.network.sink.charge("leave-transfer", moved)
     overlay.remove_node(node_id)

@@ -10,8 +10,7 @@ from .similarity import (
     top_k_items,
     matches_all_keywords,
 )
-from .index import LocalVsmIndex, ScoredItem
-from .lsi import LsiIndex
+from .index import ItemBlock, LocalVsmIndex, ScoredItem
 
 __all__ = [
     "SparseVector",
@@ -24,7 +23,7 @@ __all__ = [
     "rank_by_cosine",
     "top_k_items",
     "matches_all_keywords",
+    "ItemBlock",
     "LocalVsmIndex",
     "ScoredItem",
-    "LsiIndex",
 ]

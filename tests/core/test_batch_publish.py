@@ -304,3 +304,74 @@ class TestBatchLiveHomesProperty:
             space, ring.as_array(), np.arange(64, dtype=np.int64)
         )
         assert (homes == 40).all()
+
+
+class TestEngineCounters:
+    """``engine.publish.*`` names the engine that served each placed copy
+    and, for the sequential loop taken in auto mode, why."""
+
+    def _engines(self, system, batch=None, cascade=None):
+        trace = self.trace
+        system.publish_corpus(
+            trace.corpus, np.random.default_rng(3), batch=batch, cascade=cascade
+        )
+        return {
+            k: v
+            for k, v in system.obs.metrics.counters.items()
+            if k.startswith("engine.publish.")
+        }
+
+    def _system(self, **cfg):
+        self.trace = make_trace()
+        return build_system(self.trace, observability=True, **cfg)
+
+    def test_bulk(self):
+        assert self._engines(self._system()) == {"engine.publish.bulk": N_ITEMS}
+
+    def test_cascade(self):
+        assert self._engines(self._system(capacity=5)) == {
+            "engine.publish.cascade": N_ITEMS
+        }
+
+    def test_forced_sequential_has_no_reason(self):
+        got = self._engines(self._system(capacity=5), cascade=False)
+        assert got == {"engine.publish.sequential": N_ITEMS}
+
+    def _fallback(self, reason, system):
+        assert self._engines(system) == {
+            "engine.publish.sequential": N_ITEMS,
+            f"engine.publish.fallback.{reason}": N_ITEMS,
+        }
+
+    def test_fallback_pointers(self):
+        self._fallback("pointers", self._system(directory_pointers=True))
+
+    def test_fallback_replication(self):
+        self._fallback("replication", self._system(replication_factor=2))
+
+    def test_fallback_cosine(self):
+        self._fallback(
+            "cosine",
+            self._system(capacity=5, replacement_policy=ReplacementPolicy.COSINE),
+        )
+
+    def test_fallback_notify(self):
+        from repro.core.notify import NotificationService
+
+        system = self._system(capacity=5)
+        NotificationService(system).attach()
+        self._fallback("notify", system)
+
+    def test_fallback_admission(self):
+        from repro.overload import OverloadPolicy
+
+        self._fallback(
+            "admission", self._system(capacity=5, overload_policy=OverloadPolicy())
+        )
+
+    def test_fallback_link_faults(self):
+        from repro.sim.linkfaults import LinkFaultPlane
+
+        system = self._system(capacity=5)
+        system.network.attach_link_faults(LinkFaultPlane(seed=11, drop_prob=0.1))
+        self._fallback("link_faults", system)

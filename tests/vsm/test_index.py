@@ -34,7 +34,7 @@ class TestMaintenance:
         idx.add(item(1, {5: 2.0}))
         assert len(idx) == 1
         hits = idx.query(query({5: 1.0}))
-        assert [h.item.item_id for h in hits] == [1]
+        assert [h.item_id for h in hits] == [1]
         assert idx.query(query({0: 1.0})) == []
 
     def test_remove_cleans_postings(self):
@@ -60,10 +60,10 @@ class TestMaintenance:
         idx = LocalVsmIndex()
         idx.add(item(1, {2: 1.0}))
         small = idx.query(query({2: 1.0}))
-        assert [h.item.item_id for h in small] == [1]
+        assert [h.item_id for h in small] == [1]
         idx.add(item(2, {DIM + 5: 1.0}))
         big = idx.query(SparseVector.from_mapping({DIM + 5: 1.0}, DIM + 10))
-        assert [h.item.item_id for h in big] == [2]
+        assert [h.item_id for h in big] == [2]
         assert idx.query(query({2: 1.0}))[0].score == small[0].score
         assert not idx._scratch.any()  # noqa: SLF001
 
@@ -81,7 +81,7 @@ class TestQuery:
         idx = self.build()
         q = query({0: 1.0, 1: 1.0})
         hits = idx.query(q)
-        got = [(h.item.item_id, h.score) for h in hits]
+        got = [(h.item_id, h.score) for h in hits]
         # Brute force over all items.
         def cos(m):
             v = SparseVector.from_mapping(m, DIM)
@@ -101,20 +101,20 @@ class TestQuery:
 
     def test_non_overlapping_items_excluded(self):
         hits = self.build().query(query({0: 1.0}))
-        assert 3 not in [h.item.item_id for h in hits]
+        assert 3 not in [h.item_id for h in hits]
 
     def test_limit(self):
         assert len(self.build().query(query({0: 1.0}), limit=2)) == 2
 
     def test_require_all_filters(self):
         hits = self.build().query(query({0: 1.0}), require_all=[0, 1])
-        assert sorted(h.item.item_id for h in hits) == [1, 4]
+        assert sorted(h.item_id for h in hits) == [1, 4]
 
     def test_min_score(self):
         idx = self.build()
         q = query({0: 1.0, 1: 1.0})
         strict = idx.query(q, min_score=0.99)
-        assert [h.item.item_id for h in strict] == [1]
+        assert [h.item_id for h in strict] == [1]
 
     def test_empty_query_returns_nothing(self):
         q = SparseVector.from_mapping({}, DIM)
@@ -141,7 +141,7 @@ class TestQueryMany:
         return query(dict(zip(kws, rng.uniform(0.2, 2.0, size=k))))
 
     def pairs(self, hits):
-        return [(h.item.item_id, h.score) for h in hits]
+        return [(h.item_id, h.score) for h in hits]
 
     def test_matches_scalar_exactly(self):
         rng, idx = self.build()
@@ -169,7 +169,7 @@ class TestQueryMany:
         assert self.pairs(before) == self.pairs(idx.query(q))
         idx.add(item(999, {int(q.indices[0]): 5.0}))
         after = idx.query_many([q])[0]
-        assert 999 in [h.item.item_id for h in after]
+        assert 999 in [h.item_id for h in after]
         idx.remove(999)
         again = idx.query_many([q])[0]
         assert self.pairs(again) == self.pairs(before)
